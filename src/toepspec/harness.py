@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,7 +221,8 @@ class RunArtifact:
 
     ``records`` are per-cell dicts (JSON-safe values only), ``summary`` is a
     list of aggregate rows, ``tables`` maps name -> (header, rows) for extra
-    CSVs, ``svgs`` maps name -> markup.
+    CSVs, ``svgs`` maps name -> markup.  ``config`` is the JSON echo of the
+    run's ExperimentConfig, for runners that take one.
     """
 
     kind: str
@@ -230,6 +232,7 @@ class RunArtifact:
     summary: list[dict] = field(default_factory=list)
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
     svgs: dict[str, str] = field(default_factory=dict)
+    config: dict | None = None
 
     def write(self, outdir, fmt: str = "jsonl", svg: bool = True) -> list[Path]:
         """Persist to ``outdir``; returns the written paths.
@@ -239,16 +242,26 @@ class RunArtifact:
         """
         if fmt not in ("jsonl", "csv"):
             raise ConfigError(f"unknown format {fmt!r}; choose jsonl or csv")
+        from . import __version__
+
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
+        # Results depend on numpy's LAPACK build, so the versions are recorded.
+        info = {
+            "kind": self.kind,
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "versions": {
+                "toepspec": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+        }
+        if self.config is not None:
+            info["config"] = self.config
         meta = outdir / f"{self.kind}_meta.json"
-        meta.write_text(
-            _dumps(
-                {"kind": self.kind, "config_hash": self.config_hash, "seed": self.seed}
-            )
-            + "\n"
-        )
+        meta.write_text(_dumps(info) + "\n")
         written.append(meta)
         if self.records:
             if fmt == "jsonl":
@@ -450,7 +463,6 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
             "trial": t,
             "energy_distance": dist,
             "converged": res.converged,
-            "iterations": res.iterations,
             "eigenvalues": [_cpair(v) for v in eig],
         }
 
@@ -467,7 +479,9 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
                 "converged_fraction": float(np.mean(conv)),
             }
         )
-    art = RunArtifact("esd", config.config_hash(), config.seed, records, summary)
+    art = RunArtifact(
+        "esd", config.config_hash(), config.seed, records, summary, config=config.to_json()
+    )
     big_n = config.sizes[-1]
     first = next(r for r in records if r["n"] == big_n and r["trial"] == 0)
     eig_pts = np.array([complex(re, im) for re, im in first["eigenvalues"]])
@@ -578,7 +592,9 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
                     "valid_trials": len(vals),
                 }
             )
-    return RunArtifact("logpot", config.config_hash(), config.seed, records, summary)
+    return RunArtifact(
+        "logpot", config.config_hash(), config.seed, records, summary, config=config.to_json()
+    )
 
 
 def run_replacement(

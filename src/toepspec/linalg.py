@@ -1,18 +1,18 @@
 """Dense complex linear-algebra kernels.
 
 The package-wide matrix substrate is a C-contiguous ``numpy.complex128``
-array (row-major, ``shape == (rows, cols)``).  All solvers are written
-in-repo on plain array arithmetic: partial-pivoted LU for log-determinants,
-Householder reduction plus implicitly shifted QR for general complex
-spectra, and Hermitian tridiagonalization plus implicit-shift QL backing
-singular values, Stieltjes transforms, and extreme singular values.  Sizes
-of interest stay in the low thousands, where these dense kernels are
-adequate and every intermediate is easy to audit.
+array (row-major, ``shape == (rows, cols)``).  Every factorization is one
+``numpy.linalg`` (LAPACK) call: ``slogdet`` for log-determinants,
+``eigvals`` for general complex spectra, ``svd`` for singular values,
+Stieltjes transforms and norms, and ``qr`` for Haar unitaries.  This module
+fixes the package's contracts around those calls: input coercion, the
+``LogDet`` form with its singular sentinel, and how non-convergence is
+reported.  Results are bit-identical across reruns for a fixed numpy/BLAS
+build and BLAS thread setting.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -41,14 +41,12 @@ __all__ = [
     "load_matrix",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 #: Sentinel stored in ``LogDet.log_abs`` for an exactly singular factorization.
 LOG_SINGULAR = -1.0e300
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative kernel exhausts its iteration budget."""
+    """Raised when an iterative kernel (the SVD's QR iteration) fails to converge."""
 
 
 def as_matrix(m) -> np.ndarray:
@@ -67,7 +65,7 @@ def _require_square(a: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# LU
+# Determinants
 
 
 @dataclass(frozen=True)
@@ -92,29 +90,12 @@ class LogDet:
 
 def lu_logdet(m) -> LogDet:
     """log|det| and phase of a square complex matrix via partial-pivoted LU."""
-    a = as_matrix(m).copy()
+    a = as_matrix(m)
     _require_square(a)
-    n = a.shape[0]
-    swaps = 0
-    log_abs = 0.0
-    phase = 1.0 + 0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            swaps += 1
-        piv = a[k, k]
-        apiv = abs(piv)
-        if apiv < 1e-300:
-            return LogDet(LOG_SINGULAR, 1.0 + 0j, True)
-        log_abs += math.log(apiv)
-        phase *= piv / apiv
-        if k + 1 < n:
-            a[k + 1 :, k] /= piv
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    if swaps % 2:
-        phase = -phase
-    return LogDet(log_abs, complex(phase), False)
+    sign, log_abs = np.linalg.slogdet(a)
+    if sign == 0:
+        return LogDet(LOG_SINGULAR, 1.0 + 0j, True)
+    return LogDet(float(log_abs), complex(sign), False)
 
 
 def lu_det(m) -> complex:
@@ -123,258 +104,41 @@ def lu_det(m) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# General complex spectra: Hessenberg + implicitly shifted QR
+# General complex spectra
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray
-    iterations: int
     converged: bool
 
 
-def _hessenberg(a: np.ndarray) -> None:
-    """In-place unitary reduction to upper Hessenberg form (values-only)."""
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        nx = math.sqrt(float((x.real**2 + x.imag**2).sum()))
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else 1.0 + 0j
-        alpha = -ph * nx
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(float((v.real**2 + v.imag**2).sum()))
-        blk = a[k + 1 :, k:]
-        blk -= np.outer(2.0 * v, v.conj() @ blk)
-        blk = a[:, k + 1 :]
-        blk -= np.outer(blk @ v, 2.0 * v.conj())
-        a[k + 1, k] = alpha
-        a[k + 2 :, k] = 0.0
-
-
-def _givens(a: complex, b: complex) -> tuple[float, complex]:
-    """c (real), s with [[c, s], [-conj(s), c]] @ (a, b) = (r, 0)."""
-    ab = abs(b)
-    if ab == 0.0:
-        return 1.0, 0j
-    aa = abs(a)
-    if aa == 0.0:
-        return 0.0, 1.0 + 0j
-    rho = math.hypot(aa, ab)
-    return aa / rho, (a / aa) * (b.conjugate() / rho)
-
-
-def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    t = 0.5 * (a + d)
-    disc = cmath.sqrt(0.25 * (a - d) * (a - d) + b * c)
-    return t + disc, t - disc
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One implicit single-shift QR sweep on the active block h[lo:hi+1, lo:hi+1].
-
-    Rotations are applied only where eigenvalues depend on them (values-only),
-    so the off-block coupling entries are left stale on purpose.
-    """
-    x = h[lo, lo] - shift
-    y = h[lo + 1, lo]
-    for i in range(lo, hi):
-        c, s = _givens(x, y)
-        sc = s.conjugate()
-        j0 = max(i - 1, lo)
-        r0 = h[i, j0 : hi + 1].copy()
-        r1 = h[i + 1, j0 : hi + 1]
-        h[i, j0 : hi + 1] = c * r0 + s * r1
-        h[i + 1, j0 : hi + 1] = c * r1 - sc * r0
-        i1 = min(i + 2, hi)
-        c0 = h[lo : i1 + 1, i].copy()
-        c1 = h[lo : i1 + 1, i + 1]
-        h[lo : i1 + 1, i] = c * c0 + sc * c1
-        h[lo : i1 + 1, i + 1] = c * c1 - s * c0
-        if i < hi - 1:
-            x = h[i + 1, i]
-            y = h[i + 2, i]
-
-
-def eigenvalues(m, max_sweeps: int | None = None) -> SpectrumResult:
+def eigenvalues(m) -> SpectrumResult:
     """All eigenvalues of a square complex matrix (unordered).
 
-    Hessenberg reduction followed by implicitly shifted QR with Wilkinson
-    shifts; an exceptional shift is injected every tenth sweep on a stubborn
-    block.  ``converged`` is False when the sweep budget (default ``30 n``)
-    runs out; the diagonal of the unreduced part is then reported as a best
-    effort.
-    """
-    h = as_matrix(m).copy()
-    _require_square(h)
-    n = h.shape[0]
-    if n == 0:
-        return SpectrumResult(np.empty(0, dtype=complex), 0, True)
-    _hessenberg(h)
-    budget = 30 * n if max_sweeps is None else int(max_sweeps)
-    fnorm = math.sqrt(float((h.real**2 + h.imag**2).sum())) or 1.0
-    eig = np.empty(n, dtype=complex)
-    u = n - 1
-    sweeps = 0
-    stagnation = 0
-    while u >= 0:
-        if u == 0:
-            eig[0] = h[0, 0]
-            u = -1
-            break
-        lo = u
-        while lo > 0:
-            scale = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if scale == 0.0:
-                scale = fnorm
-            if abs(h[lo, lo - 1]) <= _EPS * scale:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == u:
-            eig[u] = h[u, u]
-            u -= 1
-            stagnation = 0
-            continue
-        if lo == u - 1:
-            eig[lo], eig[u] = _eig2(h[lo, lo], h[lo, u], h[u, lo], h[u, u])
-            u -= 2
-            stagnation = 0
-            continue
-        if sweeps >= budget:
-            break
-        sweeps += 1
-        stagnation += 1
-        if stagnation % 10 == 0:
-            shift = h[u, u] + 0.75 * abs(h[u, u - 1])
-        else:
-            e1, e2 = _eig2(h[u - 1, u - 1], h[u - 1, u], h[u, u - 1], h[u, u])
-            shift = e1 if abs(e1 - h[u, u]) <= abs(e2 - h[u, u]) else e2
-        _qr_sweep(h, lo, u, shift)
-    if u >= 0:
-        for i in range(u + 1):
-            eig[i] = h[i, i]
-        return SpectrumResult(eig, sweeps, False)
-    return SpectrumResult(eig, sweeps, True)
-
-
-# ---------------------------------------------------------------------------
-# Hermitian path: tridiagonalization + implicit QL, singular values, Stieltjes
-
-
-def _hermitian_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a Hermitian matrix to real tridiagonal (d, e).
-
-    Values-only: transforms are not accumulated, and complex off-diagonal
-    phases are dropped (a diagonal-unitary similarity) so ``e`` is real.
-    """
-    a = a.copy()
-    n = a.shape[0]
-    d = np.empty(n)
-    e = np.zeros(n - 1 if n > 1 else 0)
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        nx = math.sqrt(float((x.real**2 + x.imag**2).sum()))
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else 1.0 + 0j
-        alpha = -ph * nx
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(float((v.real**2 + v.imag**2).sum()))
-        b = a[k + 1 :, k + 1 :]
-        p = b @ v
-        kappa = float(np.vdot(v, p).real)
-        w = p - kappa * v
-        b -= 2.0 * np.outer(v, w.conj())
-        b -= 2.0 * np.outer(w, v.conj())
-        e[k] = abs(alpha)
-    if n > 1:
-        e[n - 2] = abs(a[n - 1, n - 2])
-    d[:] = a.diagonal().real
-    return d, e
-
-
-def _tridiag_values(d: np.ndarray, e: np.ndarray, max_iter: int = 50) -> np.ndarray:
-    """Eigenvalues of a real symmetric tridiagonal matrix, ascending.
-
-    Implicit-shift QL iteration, in place on copies of (d, e).
-    """
-    d = d.astype(float).copy()
-    n = d.size
-    if n == 0:
-        return d
-    e = np.append(e.astype(float), 0.0)
-    for l in range(n):
-        for it in range(max_iter + 1):
-            m = l
-            while m + 1 < n:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if it == max_iter:
-                raise ConvergenceError(
-                    f"tridiagonal QL failed to converge at index {l} "
-                    f"after {max_iter} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                if abs(f) > abs(g):
-                    c = g / f
-                    r = math.hypot(c, 1.0)
-                    e[i + 1] = f * r
-                    s = 1.0 / r
-                    c *= s
-                else:
-                    s = f / g
-                    r = math.hypot(s, 1.0)
-                    e[i + 1] = g * r
-                    c = 1.0 / r
-                    s *= c
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    d.sort()
-    return d
-
-
-def singular_values(m) -> np.ndarray:
-    """All singular values of a square complex matrix, descending.
-
-    Computed as the nonnegative spectrum of the Hermitian symmetrization
-    [[0, M], [M*, 0]], whose eigenvalues come in +/- pairs.
+    ``converged`` is False when the QR iteration fails; the input's diagonal
+    is then reported in place of the spectrum, so the values stay finite.
     """
     a = as_matrix(m)
     _require_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0)
-    t = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    t[:n, n:] = a
-    t[n:, :n] = a.conj().T
-    vals = _tridiag_values(*_hermitian_tridiagonalize(t))
-    s = vals[n:][::-1].copy()
-    np.maximum(s, 0.0, out=s)
-    return s
+    try:
+        return SpectrumResult(np.linalg.eigvals(a), True)
+    except np.linalg.LinAlgError:
+        return SpectrumResult(a.diagonal().copy(), False)
+
+
+# ---------------------------------------------------------------------------
+# Singular values and Stieltjes transforms
+
+
+def singular_values(m) -> np.ndarray:
+    """All singular values of a square complex matrix, descending."""
+    a = as_matrix(m)
+    _require_square(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
 def smin(m) -> float:
@@ -400,7 +164,7 @@ def stieltjes(m, xi: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Norm estimates
+# Norms
 
 
 def hs_norm(m) -> float:
@@ -409,56 +173,13 @@ def hs_norm(m) -> float:
     return math.sqrt(float(np.vdot(a, a).real))
 
 
-def op_norm_est(m, iters: int = 50) -> float:
-    """Power-iteration estimate of the operator norm (a lower bound).
-
-    Deterministic start vector; for generic matrices ``iters`` in the tens
-    resolves the top singular value to near machine precision.
-    """
-    a = as_matrix(m)
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0.0
-    v = np.ones(cols, dtype=complex) + 1j * np.linspace(0.0, 0.5, cols)
-    v /= math.sqrt(float(np.vdot(v, v).real))
-    for _ in range(iters):
-        w = a @ v
-        v = a.conj().T @ w
-        nv = math.sqrt(float(np.vdot(v, v).real))
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-    w = a @ v
-    return math.sqrt(float(np.vdot(w, w).real))
+def op_norm_est(m) -> float:
+    """Operator (spectral) norm: the largest singular value."""
+    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 # ---------------------------------------------------------------------------
 # Haar unitaries
-
-
-def _qr_q(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR; returns (Q, diag(R))."""
-    a = a.copy()
-    n = a.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 1):
-        x = a[k:, k]
-        nx = math.sqrt(float((x.real**2 + x.imag**2).sum()))
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        ph = x0 / abs(x0) if x0 != 0 else 1.0 + 0j
-        alpha = -ph * nx
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(float((v.real**2 + v.imag**2).sum()))
-        a[k:, k:] -= np.outer(2.0 * v, v.conj() @ a[k:, k:])
-        q[:, k:] -= np.outer(q[:, k:] @ v, 2.0 * v.conj())
-        a[k, k] = alpha
-        a[k + 1 :, k] = 0.0
-    return q, a.diagonal().copy()
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -471,7 +192,8 @@ def haar_unitary(n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rg = generator(seed)
     g = (rg.standard_normal((n, n)) + 1j * rg.standard_normal((n, n))) / math.sqrt(2.0)
-    q, rdiag = _qr_q(g)
+    q, r = np.linalg.qr(g)
+    rdiag = r.diagonal()
     mags = np.abs(rdiag)
     ph = np.where(mags > 0, rdiag / np.where(mags > 0, mags, 1.0), 1.0)
     return q * ph[np.newaxis, :]

@@ -108,7 +108,7 @@ def run_checks() -> list[Check]:
 
     # --- operator norm / HS norm spot values
     d = np.diag([1.0, 5.0]).astype(complex)
-    err = abs(op_norm_est(d, 60) - 5.0)
+    err = abs(op_norm_est(d) - 5.0)
     ok = err < 1e-6 and abs(hs_norm(np.eye(9)) - 3.0) < 1e-12
     checks.append(("norm estimates (diag, identity)", ok, f"op err {err:.2e}"))
 

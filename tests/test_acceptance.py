@@ -395,15 +395,12 @@ def test_criterion_10_replacement(criterion):
         row = art.summary[0]
         assert row["ks_distance"] < 0.1, row
         assert row["bounds_ok"]
-        # Lower-tail sanity of the raw noise ensemble: the criterion's
-        # 200-trial tail check is anchored at the N=100 reference size
-        # (running it at N=300 adds ~4 min of wall time for an identically
-        # trivial threshold, N^{-4} sitting ~6 orders below typical smin).
+        # Lower-tail sanity of the raw noise ensemble at the criterion size.
         rep = smin_tail_check(
             NoiseModel("gaussian_complex"),
-            np.zeros((100, 100), dtype=complex),
+            np.zeros((300, 300), dtype=complex),
             trials=200,
             seed=11,
         )
         assert rep.fractions[4.0] == 0.0
-        assert rep.smins.min() > 100.0 ** (-4.0)
+        assert rep.smins.min() > 300.0 ** (-4.0)

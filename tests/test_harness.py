@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import toepspec
 from conftest import random_complex
 from toepspec import (
     BOUNDARY,
@@ -234,6 +236,35 @@ def test_run_esd_structure_and_determinism(quad):
     assert json.dumps(art.records) == json.dumps(again.records)
 
 
+def test_run_esd_records_independent_of_pool_size(quad, monkeypatch, tmp_path):
+    # At N=200 LAPACK takes its blocked code paths, and with two pool threads
+    # two eigensolves run inside OpenBLAS at once.
+    cfg = tiny_config(quad, sizes=(200,), trials=4)
+    out = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TOEPSPEC_THREADS", threads)
+        run_esd(cfg).write(tmp_path / threads, svg=False)
+        out[threads] = (tmp_path / threads / "esd.jsonl").read_bytes()
+    assert out["1"] == out["2"]
+
+
+def test_run_esd_reports_nonconvergence(quad, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced non-convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    art = run_esd(tiny_config(quad))
+    art.write(tmp_path)
+    with open(tmp_path / "esd.jsonl") as f:
+        records = [json.loads(line) for line in f]
+    assert records and not any(rec["converged"] for rec in records)
+    for rec in records:
+        assert len(rec["eigenvalues"]) == rec["n"]
+    rows = check_csv(tmp_path / "esd_summary.csv", expect_rows=2)
+    frac = rows[0].index("converged_fraction")
+    assert all(float(row[frac]) < 1.0 for row in rows[1:])
+
+
 def test_run_region_map_counts(quad):
     art = run_region_map(quad, (-2.5, 3.5, -3.0, 3.0), 9)
     header, rows = art.tables["grid"]
@@ -316,12 +347,20 @@ def check_csv(path, expect_rows=None):
 
 
 def test_artifact_write_jsonl(quad, tmp_path):
-    art = run_esd(tiny_config(quad))
+    cfg = tiny_config(quad)
+    art = run_esd(cfg)
     paths = art.write(tmp_path, fmt="jsonl")
     names = {p.name for p in paths}
     assert {"esd_meta.json", "esd.jsonl", "esd_summary.csv", "esd_spectrum.svg"} <= names
     meta = json.loads((tmp_path / "esd_meta.json").read_text())
     assert meta["config_hash"] == art.config_hash
+    assert meta["seed"] == cfg.seed
+    assert meta["config"] == cfg.to_json()
+    assert meta["versions"] == {
+        "toepspec": toepspec.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     with open(tmp_path / "esd.jsonl") as f:
         lines = [json.loads(line) for line in f]
     assert len(lines) == len(art.records)
@@ -336,6 +375,8 @@ def test_artifact_write_csv_records(quad, tmp_path):
     assert "regions_grid.csv" in names
     assert not any(n.endswith(".svg") for n in names)
     check_csv(tmp_path / "regions_grid.csv", expect_rows=25)
+    meta = json.loads((tmp_path / "regions_meta.json").read_text())
+    assert "config" not in meta
 
 
 def test_artifact_write_rejects_bad_format(quad, tmp_path):
