@@ -69,6 +69,7 @@ from .harness import (
     ks_distance,
     perturbation,
     run_esd,
+    run_expansion,
     run_logpot,
     run_region_map,
     run_replacement,
@@ -143,6 +144,7 @@ __all__ = [
     "thread_count",
     "perturbation",
     "run_esd",
+    "run_expansion",
     "run_region_map",
     "run_logpot",
     "run_replacement",

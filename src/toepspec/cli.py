@@ -15,21 +15,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ._rng import DOMAIN_CORNER, seed_sequence
-from .expansion import dominance_report
 from .harness import (
     ConfigError,
     ExperimentConfig,
     RunArtifact,
     run_esd,
+    run_expansion,
     run_logpot,
     run_region_map,
     run_replacement,
     thread_count,
 )
-from .noise import NoiseModel, corner_delta
+from .noise import NoiseModel
 from .symbol import Symbol
 from . import validate as _validate
 
@@ -103,13 +100,11 @@ def _load_config(args) -> ExperimentConfig:
     _apply_overrides(data, args.set or [])
     if args.seed is not None:
         data["seed"] = args.seed
-    if getattr(args, "out", None):
-        data["outputs"] = args.out
     return ExperimentConfig.from_json(data)
 
 
 def _emit(art: RunArtifact, config_outputs, args) -> None:
-    outdir = getattr(args, "out", None) or config_outputs
+    outdir = args.out or config_outputs
     if outdir:
         paths = art.write(outdir, fmt=args.format, svg=args.svg)
         for p in paths:
@@ -117,7 +112,7 @@ def _emit(art: RunArtifact, config_outputs, args) -> None:
 
 
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=None, help="random seed (overrides the config seed)")
     p.add_argument(
         "--set",
         action="append",
@@ -158,25 +153,26 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    grid_flags = (args.symbol, args.rect, args.resolution)
     if args.config:
+        if any(v is not None for v in grid_flags):
+            raise ConfigError("regions takes --config or --symbol/--rect/--resolution, not both")
         config = _load_config(args)
         s = config.symbol
         grid = config.z_grid
         if grid.rect is None:
             raise ConfigError("regions needs a rect z_grid in the config")
-        rect, res = grid.rect, grid.resolution
-        chash, seed, outputs = config.config_hash(), config.seed, config.outputs
+        rect, res, outputs = grid.rect, grid.resolution, config.outputs
     else:
-        if not args.symbol or not args.rect or not args.resolution:
+        if not all(grid_flags):
             raise ConfigError("regions needs --config or --symbol/--rect/--resolution")
         s = Symbol.from_json(_load_json_arg(args.symbol))
         rect = _parse_rect(args.rect)
-        res = args.resolution
-        chash, seed, outputs = "", args.seed or 0, None
+        res, outputs = args.resolution, None
     if args.dry_run:
         print(f"plan: region map {res}x{res} on rect {rect}, symbol d1={s.d1} d2={s.d2}")
         return 0
-    art = run_region_map(s, rect, res, config_hash=chash, seed=seed)
+    art = run_region_map(s, rect, res)
     for row in art.summary:
         print(f"label={row['label']} nodes={row['nodes']} fraction={row['fraction']:.4g}")
     _emit(art, outputs, args)
@@ -219,7 +215,7 @@ def _cmd_replace(args) -> int:
             f"{config.noise.kind} vs {model_b.kind}"
         )
         return 0
-    art = run_replacement(config.symbol, z, n, config.noise, model_b, config.trials, config.seed)
+    art = run_replacement(config, z, n, model_b)
     row = art.summary[0]
     print(
         f"ks_distance={row['ks_distance']:.6g} bounds_ok={row['bounds_ok']} "
@@ -240,49 +236,14 @@ def _cmd_expand(args) -> int:
             f"{args.draws} draws, gamma_star {gamma_star}"
         )
         return 0
-    records = []
-    for n in sizes:
-        for t in range(args.draws):
-            delta = corner_delta(
-                s, n, gamma_star, seed_sequence(args.seed, DOMAIN_CORNER, n, t)
-            )
-            rep = dominance_report(s, z, delta)
-            records.append(
-                {
-                    "n": n,
-                    "draw": t,
-                    "region_order": rep.dd,
-                    "d0": rep.d0,
-                    "ratio_above": rep.ratio_above,
-                    "ratio_below": rep.ratio_below,
-                    "normalized_pd": rep.normalized_pd,
-                    "p_abs": list(rep.p_abs),
-                }
-            )
-    summary = []
-    for n in sizes:
-        rows = [r for r in records if r["n"] == n]
-        summary.append(
-            {
-                "n": n,
-                "region_order": rows[0]["region_order"],
-                "median_ratio_above": float(np.median([r["ratio_above"] for r in rows])),
-                "median_ratio_below": float(np.median([r["ratio_below"] for r in rows])),
-                "median_normalized_pd": float(
-                    np.median([r["normalized_pd"] for r in rows])
-                ),
-            }
-        )
-    art = RunArtifact("expand", "", args.seed, records, summary)
-    for row in summary:
+    art = run_expansion(s, z, sizes, args.draws, gamma_star, args.seed or 0)
+    for row in art.summary:
         print(
             f"n={row['n']} order={row['region_order']} "
             f"above={row['median_ratio_above']:.4g} below={row['median_ratio_below']:.4g} "
             f"pd={row['median_normalized_pd']:.4g}"
         )
-    if args.out:
-        for p in art.write(args.out, fmt=args.format, svg=args.svg):
-            print(f"wrote {p}")
+    _emit(art, None, args)
     return 0
 
 
@@ -339,13 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="10,20,40")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--gamma-star", type=float, default=None, help="default: d + 1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    svg = p.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
-    svg.add_argument("--no-svg", dest="svg", action="store_false")
-    p.add_argument("--dry-run", action="store_true")
+    _common_run_flags(p)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("validate", help="run the built-in oracle suite")
@@ -361,6 +316,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "set", None) and not getattr(args, "config", None):
+            raise ConfigError("--set overrides a config field and needs --config")
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

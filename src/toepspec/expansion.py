@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import generator
 from .linalg import as_matrix, lu_logdet
-from .symbol import BOUNDARY, Symbol, char_poly_coeffs, classify_region, root_profile
+from .symbol import BOUNDARY, Symbol, _log_potential, classify_region, root_profile
 from .toeplitz import build_z
 
 __all__ = [
@@ -50,6 +50,23 @@ def _det(m: np.ndarray) -> complex:
     return lu_logdet(m).det
 
 
+def _pair_sum(a: np.ndarray, b: np.ndarray, rows, cols, k: int) -> complex:
+    """sum_{X in rows, Y in cols, |X|=|Y|=k} sign(X) sign(Y) det(A[X^c, Y^c]) det(B[X, Y])."""
+    n = a.shape[0]
+    every = np.arange(n)
+    total = 0j
+    for x in combinations(rows, k):
+        xc = np.delete(every, x)
+        sx = perm_sign(x, n)
+        for y in combinations(cols, k):
+            db = _det(b[np.ix_(x, y)])
+            if db == 0:
+                continue
+            yc = np.delete(every, y)
+            total += sx * perm_sign(y, n) * _det(a[np.ix_(xc, yc)]) * db
+    return total
+
+
 def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
     """det(A + B) expanded over index-set pairs:
 
@@ -67,19 +84,9 @@ def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
         raise ValueError(f"decomposition guarded to n <= {max_n}, got {n}")
     rows = [i for i in range(n) if np.any(b[i, :] != 0)]
     cols = [j for j in range(n) if np.any(b[:, j] != 0)]
-    every = np.arange(n)
-    total = 0j
-    for k in range(0, min(len(rows), len(cols)) + 1):
-        for x in combinations(rows, k):
-            xc = np.delete(every, x)
-            sx = perm_sign(x, n)
-            for y in combinations(cols, k):
-                db = _det(b[np.ix_(x, y)])
-                if db == 0:
-                    continue
-                yc = np.delete(every, y)
-                total += sx * perm_sign(y, n) * _det(a[np.ix_(xc, yc)]) * db
-    return complex(total)
+    return complex(
+        sum(_pair_sum(a, b, rows, cols, k) for k in range(min(len(rows), len(cols)) + 1))
+    )
 
 
 def bidiag_subdet(zfrak: complex, x, y, n: int) -> complex:
@@ -137,18 +144,7 @@ def corner_pk(s: Symbol, z: complex, delta, k: int, max_support: int = 12) -> co
         return _det(tz)
     if k > min(len(rows), len(cols)):
         return 0j
-    every = np.arange(n)
-    total = 0j
-    for x in combinations(rows, k):
-        xc = np.delete(every, x)
-        sx = perm_sign(x, n)
-        for y in combinations(cols, k):
-            db = _det(delta[np.ix_(x, y)])
-            if db == 0:
-                continue
-            yc = np.delete(every, y)
-            total += sx * perm_sign(y, n) * _det(tz[np.ix_(xc, yc)]) * db
-    return complex(total)
+    return complex(_pair_sum(tz, delta, rows, cols, k))
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,7 @@ def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
     delta = as_matrix(delta)
     n = delta.shape[0]
     prof = root_profile(s, z)
-    lead = abs(char_poly_coeffs(s, z)[-1])
-    log_norm = n * math.log(lead)
-    for r in prof.roots:
-        ar = abs(r)
-        if ar > 1.0:
-            log_norm += n * math.log(ar)
+    log_norm = n * _log_potential(s, prof)
     p_values = [corner_pk(s, z, delta, k) for k in range(s.d + 1)]
     p_abs = [abs(p) for p in p_values]
     ad = abs(int(label))

@@ -1,10 +1,11 @@
 """Experiment harness: configs, runners, metrics, and artifact persistence.
 
-Each runner consumes an ExperimentConfig (or explicit arguments), derives all
-randomness from the config seed through keyed Philox streams, and returns a
-RunArtifact holding per-cell records plus summaries.  Artifacts serialize to
-JSONL/CSV (and optional static SVG) with canonical, byte-stable formatting:
-rerunning a config reproduces identical files.
+Every runner lives here.  Each derives all randomness from its seed through
+keyed Philox streams and returns a RunArtifact holding per-cell records,
+summaries, and ``inputs``: the JSON echo of everything the run computed from,
+which also gives the artifact its config hash and seed (the output directory
+is not an input).  Artifacts serialize to JSONL/CSV (and optional static SVG)
+with canonical, byte-stable formatting: the same inputs give identical files.
 
 Trials run on a thread pool sized by the TOEPSPEC_THREADS environment
 variable (default: CPU count); results are reduced in fixed cell order, so
@@ -27,12 +28,14 @@ import numpy as np
 
 from . import _svg
 from ._rng import (
+    DOMAIN_CORNER,
     DOMAIN_LOGPOT,
     DOMAIN_MU,
     DOMAIN_NOISE,
     DOMAIN_REPLACE,
     seed_sequence,
 )
+from .expansion import dominance_report
 from .linalg import eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals
 from .noise import NoiseModel, corner_delta, sample
 from .symbol import Symbol, region_labels, limit_logpot, classify_region, BOUNDARY, sample_mu_a
@@ -49,6 +52,7 @@ __all__ = [
     "IntervalMassRecord",
     "perturbation",
     "run_esd",
+    "run_expansion",
     "run_region_map",
     "run_logpot",
     "run_replacement",
@@ -139,7 +143,8 @@ class ExperimentConfig:
             raise ConfigError("mu_samples must be >= 1")
 
     def to_json(self) -> dict:
-        out = {
+        """Everything a run computes from; ``outputs`` (where it writes) is left out."""
+        return {
             "symbol": self.symbol.to_json(),
             "sizes": list(self.sizes),
             "gamma": self.gamma,
@@ -149,9 +154,6 @@ class ExperimentConfig:
             "mu_samples": self.mu_samples,
             "seed": self.seed,
         }
-        if self.outputs is not None:
-            out["outputs"] = self.outputs
-        return out
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
@@ -199,7 +201,7 @@ class ExperimentConfig:
         return _dumps(self.to_json())
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        return _hash(self.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,11 @@ class ExperimentConfig:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _hash(inputs: dict) -> str:
+    """The run identity: a short SHA-256 of the canonical JSON of its inputs."""
+    return hashlib.sha256(_dumps(inputs).encode()).hexdigest()[:16]
 
 
 def _cpair(z: complex) -> list[float]:
@@ -221,18 +228,26 @@ class RunArtifact:
 
     ``records`` are per-cell dicts (JSON-safe values only), ``summary`` is a
     list of aggregate rows, ``tables`` maps name -> (header, rows) for extra
-    CSVs, ``svgs`` maps name -> markup.  ``config`` is the JSON echo of the
-    run's ExperimentConfig, for runners that take one.
+    CSVs, ``svgs`` maps name -> markup.  ``inputs`` is the JSON echo of
+    everything the run computed from; the config hash and the seed are read
+    from it.
     """
 
     kind: str
-    config_hash: str
-    seed: int
+    inputs: dict
     records: list[dict] = field(default_factory=list)
     summary: list[dict] = field(default_factory=list)
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
     svgs: dict[str, str] = field(default_factory=dict)
-    config: dict | None = None
+
+    @property
+    def config_hash(self) -> str:
+        return _hash(self.inputs)
+
+    @property
+    def seed(self) -> int | None:
+        """The inputs' seed; None for a run that draws no random numbers."""
+        return self.inputs.get("seed")
 
     def write(self, outdir, fmt: str = "jsonl", svg: bool = True) -> list[Path]:
         """Persist to ``outdir``; returns the written paths.
@@ -257,9 +272,8 @@ class RunArtifact:
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
+            "config": self.inputs,
         }
-        if self.config is not None:
-            info["config"] = self.config
         meta = outdir / f"{self.kind}_meta.json"
         meta.write_text(_dumps(info) + "\n")
         written.append(meta)
@@ -479,9 +493,7 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
                 "converged_fraction": float(np.mean(conv)),
             }
         )
-    art = RunArtifact(
-        "esd", config.config_hash(), config.seed, records, summary, config=config.to_json()
-    )
+    art = RunArtifact("esd", config.to_json(), records, summary)
     big_n = config.sizes[-1]
     first = next(r for r in records if r["n"] == big_n and r["trial"] == 0)
     eig_pts = np.array([complex(re, im) for re, im in first["eigenvalues"]])
@@ -495,12 +507,11 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
     return art
 
 
-def run_region_map(
-    s: Symbol, rect, resolution: int, config_hash: str = "", seed: int = 0
-) -> RunArtifact:
+def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     """Region-order labels on a rectangular z grid; CSV rows (re, im, label)
     plus an SVG raster.  Boundary/unresolved nodes are labeled 'boundary'."""
-    re_lo, re_hi, im_lo, im_hi = (float(v) for v in rect)
+    rect = [float(v) for v in rect]
+    re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigError("rect must satisfy re_lo < re_hi and im_lo < im_hi")
     if resolution < 2:
@@ -511,21 +522,22 @@ def run_region_map(
     dd, bmask = region_labels(s, zs)
     dd = dd.reshape(resolution, resolution)
     bmask = bmask.reshape(resolution, resolution)
+    re_text = [repr(float(x)) for x in xs]
     rows = []
-    for r in range(resolution):
-        for c in range(resolution):
-            label = "boundary" if bmask[r, c] else int(dd[r, c])
-            rows.append((repr(float(xs[c])), repr(float(ys[r])), label))
-    counts: dict[str, int] = {}
-    for r in range(resolution):
-        for c in range(resolution):
-            key = "boundary" if bmask[r, c] else str(int(dd[r, c]))
-            counts[key] = counts.get(key, 0) + 1
+    counts: dict[int | str, int] = {}
+    for y, dd_row, b_row in zip(ys, dd.tolist(), bmask.tolist()):
+        im_text = repr(float(y))
+        for re, label, on_boundary in zip(re_text, dd_row, b_row):
+            if on_boundary:
+                label = "boundary"
+            rows.append((re, im_text, label))
+            counts[label] = counts.get(label, 0) + 1
     summary = [
         {"label": k, "nodes": v, "fraction": v / (resolution * resolution)}
-        for k, v in sorted(counts.items())
+        for k, v in sorted((str(k), v) for k, v in counts.items())
     ]
-    art = RunArtifact("regions", config_hash, seed, [], summary)
+    inputs = {"symbol": s.to_json(), "rect": rect, "resolution": resolution}
+    art = RunArtifact("regions", inputs, [], summary)
     art.tables["grid"] = (("re", "im", "label"), rows)
     art.svgs["map"] = _svg.region_svg(
         xs, ys, dd, bmask, s.d1, s.d, f"region orders d1={s.d1} d2={s.d2}"
@@ -592,40 +604,32 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
                     "valid_trials": len(vals),
                 }
             )
-    return RunArtifact(
-        "logpot", config.config_hash(), config.seed, records, summary, config=config.to_json()
-    )
+    inputs = {**config.to_json(), "z_grid": ZGrid(points=tuple(z_list)).to_json()}
+    return RunArtifact("logpot", inputs, records, summary)
 
 
 def run_replacement(
-    s: Symbol,
-    z: complex,
-    n: int,
-    model_a: NoiseModel,
-    model_b: NoiseModel,
-    trials: int,
-    seed,
+    config: ExperimentConfig, z: complex, n: int, model_b: NoiseModel
 ) -> RunArtifact:
-    """Compare singular-value statistics of T_N(z) + noise under two
-    ensembles, checking the deterministic Stieltjes resolvent bound
+    """Compare singular-value statistics of T_N(z) + N^{-gamma} noise under the
+    config's ensemble and ``model_b`` (both scaled by ``config.gamma``),
+    checking the deterministic Stieltjes resolvent bound
 
         |G_C(xi) - G_D(xi)| <= ||C - D||_HS / (sqrt(N) Im(xi)^2)
 
     at every grid xi, and reporting the KS distance of pooled spectra.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    s, model_a, gamma, trials = config.symbol, config.noise, config.gamma, config.trials
     tz = build_z(s, z, n)
-    root = seed_sequence(seed)
-    seed_int = seed if isinstance(seed, int) else 0
+    root = seed_sequence(config.seed)
     records = []
     pooled_a: list[np.ndarray] = []
     pooled_b: list[np.ndarray] = []
     bound_ok = True
     for t in range(trials):
         sub = seed_sequence(root, DOMAIN_REPLACE, n, t)
-        ca = tz + perturbation(s, model_a, model_a.gamma, n, sub)
-        cb = tz + perturbation(s, model_b, model_b.gamma, n, sub)
+        ca = tz + perturbation(s, model_a, gamma, n, sub)
+        cb = tz + perturbation(s, model_b, gamma, n, sub)
         sa = singular_values(ca)
         sb = singular_values(cb)
         pooled_a.append(sa)
@@ -674,7 +678,8 @@ def run_replacement(
             "max_bound_ratio": max(r["max_bound_ratio"] for r in records),
         }
     ]
-    art = RunArtifact("replace", "", seed_int, records, summary)
+    inputs = {**config.to_json(), "z": _cpair(z), "n": n, "noise_b": model_b.to_json()}
+    art = RunArtifact("replace", inputs, records, summary)
     hi = float(max(flat_a.max(), flat_b.max())) or 1.0
     edges = np.linspace(0.0, hi, 51)
     ha, _ = np.histogram(flat_a, bins=edges)
@@ -687,3 +692,44 @@ def run_replacement(
         ],
     )
     return art
+
+
+def run_expansion(
+    s: Symbol, z: complex, sizes, draws: int, gamma_star: float, seed: int
+) -> RunArtifact:
+    """Corner-expansion dominance reports of det(T_N(z) + Delta) over sizes,
+    one random corner perturbation Delta (decay N^{-gamma_star}) per draw."""
+    sizes = [int(n) for n in sizes]
+    records = []
+    for n in sizes:
+        for t in range(draws):
+            delta = corner_delta(s, n, gamma_star, seed_sequence(seed, DOMAIN_CORNER, n, t))
+            rep = dominance_report(s, z, delta)
+            records.append(
+                {
+                    "n": n,
+                    "draw": t,
+                    "region_order": rep.dd,
+                    "d0": rep.d0,
+                    "ratio_above": rep.ratio_above,
+                    "ratio_below": rep.ratio_below,
+                    "normalized_pd": rep.normalized_pd,
+                    "p_abs": list(rep.p_abs),
+                }
+            )
+    summary = []
+    for n in sizes:
+        rows = [r for r in records if r["n"] == n]
+        summary.append(
+            {
+                "n": n,
+                "region_order": rows[0]["region_order"],
+                "median_ratio_above": float(np.median([r["ratio_above"] for r in rows])),
+                "median_ratio_below": float(np.median([r["ratio_below"] for r in rows])),
+                "median_normalized_pd": float(np.median([r["normalized_pd"] for r in rows])),
+            }
+        )
+    inputs = dict(
+        symbol=s.to_json(), z=_cpair(z), sizes=sizes, draws=draws, gamma_star=gamma_star, seed=seed
+    )
+    return RunArtifact("expand", inputs, records, summary)

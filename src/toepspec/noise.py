@@ -42,21 +42,18 @@ KINDS = (
 class NoiseModel:
     """Noise ensemble selector.
 
-    ``gamma`` is the model's own polynomial scaling exponent (used when the
-    model is exercised standalone), ``p`` the sparsity level for the
-    Bernoulli-Gaussian kind, ``gamma_star`` the corner decay exponent.
+    ``p`` is the sparsity level for the Bernoulli-Gaussian kind,
+    ``gamma_star`` the corner decay exponent.  The N^{-gamma} scaling
+    exponent belongs to the experiment (``ExperimentConfig.gamma``).
     """
 
     kind: str
-    gamma: float = 0.75
     p: float | None = None
     gamma_star: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; choose from {KINDS}")
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
         if self.kind == "sparse_bernoulli_gaussian":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise ValueError("sparse_bernoulli_gaussian requires p in (0, 1]")
@@ -64,7 +61,7 @@ class NoiseModel:
             raise ValueError("corner_delta requires gamma_star")
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "gamma": self.gamma}
+        out = {"kind": self.kind}
         if self.p is not None:
             out["p"] = self.p
         if self.gamma_star is not None:
@@ -77,14 +74,13 @@ class NoiseModel:
             data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError("noise JSON must be an object")
-        known = {"kind", "gamma", "p", "gamma_star"}
+        known = {"kind", "p", "gamma_star"}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown noise fields: {sorted(extra)}")
         try:
             return cls(
                 kind=str(data["kind"]),
-                gamma=float(data.get("gamma", 0.75)),
                 p=None if data.get("p") is None else float(data["p"]),
                 gamma_star=(
                     None if data.get("gamma_star") is None else float(data["gamma_star"])

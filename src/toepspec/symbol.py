@@ -396,9 +396,12 @@ def limit_logpot(s: Symbol, z: complex) -> float:
     Closed form: log of the leading characteristic coefficient's modulus plus
     the log-moduli of all roots outside the unit circle.
     """
-    prof = root_profile(s, z)
-    lead = abs(char_poly_coeffs(s, z)[-1])
-    total = math.log(lead)
+    return _log_potential(s, root_profile(s, z))
+
+
+def _log_potential(s: Symbol, prof: RootProfile) -> float:
+    """limit_logpot's closed form, from an already computed root profile."""
+    total = math.log(abs(char_poly_coeffs(s, prof.z)[-1]))
     for r in prof.roots:
         ar = abs(r)
         if ar > 1.0:

@@ -383,15 +383,16 @@ def test_criterion_10_replacement(criterion):
     with criterion(
         10, "ensemble swap: KS < 0.1, resolvent bound holds, no tiny smin", 300.0
     ):
-        art = run_replacement(
-            QUAD,
-            1.0,
-            300,
-            NoiseModel("gaussian_complex"),
-            NoiseModel("rademacher"),
+        cfg = ExperimentConfig(
+            symbol=QUAD,
+            sizes=(300,),
+            gamma=0.75,
+            noise=NoiseModel("gaussian_complex"),
             trials=10,
+            z_grid=ZGrid(points=(1.0 + 0j,)),
             seed=7,
         )
+        art = run_replacement(cfg, 1.0, 300, NoiseModel("rademacher"))
         row = art.summary[0]
         assert row["ks_distance"] < 0.1, row
         assert row["bounds_ok"]

@@ -23,6 +23,7 @@ from toepspec import (
     ks_distance,
     perturbation,
     run_esd,
+    run_expansion,
     run_logpot,
     run_region_map,
     run_replacement,
@@ -104,6 +105,13 @@ def test_config_hash_is_canonical(quad):
     s = cfg.canonical_json()
     assert " " not in s
     assert json.loads(s) == cfg.to_json()
+
+
+def test_config_hash_ignores_outputs(quad):
+    cfg = tiny_config(quad, outputs="runs/a")
+    assert cfg.config_hash() == tiny_config(quad, outputs="runs/b").config_hash()
+    assert cfg.config_hash() == tiny_config(quad).config_hash()
+    assert "outputs" not in cfg.to_json()
 
 
 def test_thread_count_env(monkeypatch):
@@ -295,6 +303,16 @@ def test_run_logpot_summary(quad):
         assert row["abs_gap"] is not None and row["abs_gap"] < 1.0
 
 
+def test_run_logpot_echoes_the_z_list_it_used(quad):
+    cfg = tiny_config(quad, sizes=(8,), trials=1)
+    default = run_logpot(cfg)
+    assert default.inputs == cfg.to_json()
+    assert default.config_hash == cfg.config_hash()
+    chosen = run_logpot(cfg, [3.0])
+    assert chosen.inputs["z_grid"] == {"points": [[3.0, 0.0]]}
+    assert chosen.config_hash != default.config_hash
+
+
 def test_run_logpot_rejects_boundary_z(quad):
     cfg = tiny_config(quad, z_grid=ZGrid(points=(2.0 + 0j,)))
     with pytest.raises(ConfigError):
@@ -304,8 +322,8 @@ def test_run_logpot_rejects_boundary_z(quad):
 
 
 def test_run_replacement_identical_models(quad):
-    model = NoiseModel("gaussian_complex")
-    art = run_replacement(quad, 1.0, 20, model, model, trials=2, seed=0)
+    cfg = tiny_config(quad, seed=0)
+    art = run_replacement(cfg, 1.0, 20, cfg.noise)
     row = art.summary[0]
     assert row["ks_distance"] == 0.0
     assert row["bounds_ok"]
@@ -315,15 +333,9 @@ def test_run_replacement_identical_models(quad):
 
 
 def test_run_replacement_two_ensembles(quad):
-    art = run_replacement(
-        quad,
-        1.0,
-        24,
-        NoiseModel("gaussian_complex"),
-        NoiseModel("rademacher"),
-        trials=2,
-        seed=1,
-    )
+    art = run_replacement(tiny_config(quad, seed=1), 1.0, 24, NoiseModel("rademacher"))
+    assert art.inputs["noise_b"] == {"kind": "rademacher"}
+    assert art.inputs["n"] == 24 and art.inputs["z"] == [1.0, 0.0]
     row = art.summary[0]
     assert row["bounds_ok"]  # deterministic resolvent inequality
     assert 0.0 <= row["ks_distance"] <= 1.0
@@ -331,6 +343,25 @@ def test_run_replacement_two_ensembles(quad):
     assert header == ("bin_left", "bin_right", "count_a", "count_b")
     assert len(rows) == 50
     assert sum(int(r[2]) for r in rows) == 2 * 24
+
+
+def test_run_replacement_scales_by_config_gamma(quad):
+    model_b = NoiseModel("rademacher")
+    low = run_replacement(tiny_config(quad, gamma=0.75), 1.0, 16, model_b)
+    high = run_replacement(tiny_config(quad, gamma=2.0), 1.0, 16, model_b)
+    # At N^{-2} the perturbation is 16^{1.25} times smaller than at N^{-3/4}.
+    ratio = high.records[0]["hs_diff"] / low.records[0]["hs_diff"]
+    assert ratio == pytest.approx(16.0 ** (0.75 - 2.0), rel=1e-9)
+
+
+def test_run_expansion_records_and_inputs(quad):
+    art = run_expansion(quad, 3.0, [6, 8], 2, 3.0, 5)
+    assert [(r["n"], r["draw"]) for r in art.records] == [(6, 0), (6, 1), (8, 0), (8, 1)]
+    assert [row["n"] for row in art.summary] == [6, 8]
+    assert all(row["region_order"] == 0 for row in art.summary)
+    assert art.seed == 5
+    assert art.inputs["gamma_star"] == 3.0 and art.inputs["z"] == [3.0, 0.0]
+    assert run_expansion(quad, 3.0, [6, 8], 2, 3.0, 6).config_hash != art.config_hash
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +407,13 @@ def test_artifact_write_csv_records(quad, tmp_path):
     assert not any(n.endswith(".svg") for n in names)
     check_csv(tmp_path / "regions_grid.csv", expect_rows=25)
     meta = json.loads((tmp_path / "regions_meta.json").read_text())
-    assert "config" not in meta
+    assert meta["config"] == {
+        "symbol": quad.to_json(),
+        "rect": [-1.0, 1.0, -1.0, 1.0],
+        "resolution": 5,
+    }
+    assert meta["config_hash"] == art.config_hash != ""
+    assert meta["seed"] is None  # the region map draws no random numbers
 
 
 def test_artifact_write_rejects_bad_format(quad, tmp_path):

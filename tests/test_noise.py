@@ -22,8 +22,6 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel("white")  # unknown kind
     with pytest.raises(ValueError):
-        NoiseModel("gaussian_real", gamma=0.0)
-    with pytest.raises(ValueError):
         NoiseModel("sparse_bernoulli_gaussian")  # p missing
     with pytest.raises(ValueError):
         NoiseModel("sparse_bernoulli_gaussian", p=1.5)
@@ -33,7 +31,7 @@ def test_noise_model_validation():
 
 def test_noise_model_json_roundtrip():
     models = [
-        NoiseModel("gaussian_complex", gamma=0.8),
+        NoiseModel("gaussian_complex"),
         NoiseModel("sparse_bernoulli_gaussian", p=0.2),
         NoiseModel("corner_delta", gamma_star=3.0),
     ]
@@ -41,6 +39,9 @@ def test_noise_model_json_roundtrip():
         assert NoiseModel.from_json(m.to_json()) == m
     with pytest.raises(ValueError):
         NoiseModel.from_json({"kind": "gaussian_real", "sigma": 2.0})
+    # The scaling exponent is the experiment's gamma, not the model's.
+    with pytest.raises(ValueError, match="gamma"):
+        NoiseModel.from_json({"kind": "gaussian_real", "gamma": 0.75})
 
 
 # ---------------------------------------------------------------------------
