@@ -74,28 +74,23 @@ def region_svg(xs, ys, labels, boundary, d1: int, d: int, title: str) -> str:
     cw = (_W - 2 * _PAD) / nx
     ch = (_H - 2 * _PAD) / ny
     out = _header(title)
-
-    def color(row: int, col: int) -> str:
-        if boundary[row, col]:
-            return "#cc2222"
-        d0 = d1 - int(labels[row, col])
-        level = int(round(255 * (d0 / d if d else 0.0)))
-        return f"#{level:02x}{level:02x}{level:02x}"
-
+    # one grey level per cell, d0 = d1 - label scaled to 0..255; -1 is red
+    level = np.rint(255 * ((d1 - labels) / d))
+    level = np.where(boundary, -1, level.astype(int))
+    fills = {
+        v: "#cc2222" if v < 0 else f"#{v:02x}{v:02x}{v:02x}"
+        for v in np.unique(level).tolist()
+    }
     for r in range(ny):
         # y axis points up: row r shows ys[r], drawn from the bottom
         ypix = _H - _PAD - (r + 1) * ch
-        c0 = 0
-        while c0 < nx:
-            c1 = c0
-            col = color(r, c0)
-            while c1 + 1 < nx and color(r, c1 + 1) == col:
-                c1 += 1
+        row = level[r]
+        edges = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), nx]
+        for c0, c1 in zip(edges[:-1], edges[1:]):
             out.append(
                 f'<rect x="{_fmt(_PAD + c0 * cw)}" y="{_fmt(ypix)}" '
-                f'width="{_fmt((c1 - c0 + 1) * cw)}" height="{_fmt(ch)}" '
-                f'fill="{col}"/>'
+                f'width="{_fmt((c1 - c0) * cw)}" height="{_fmt(ch)}" '
+                f'fill="{fills[int(row[c0])]}"/>'
             )
-            c0 = c1 + 1
     out.append("</svg>")
     return "\n".join(out)

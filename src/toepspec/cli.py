@@ -153,6 +153,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    if args.seed is not None:
+        raise ConfigError("regions draws no random numbers; --seed does not apply")
     grid_flags = (args.symbol, args.rect, args.resolution)
     if args.config:
         if any(v is not None for v in grid_flags):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import generator
 from .linalg import as_matrix, lu_logdet
-from .symbol import BOUNDARY, Symbol, _log_potential, classify_region, root_profile
+from .symbol import BOUNDARY, Symbol, _log_potential, _region_order, root_profile
 from .toeplitz import build_z
 
 __all__ = [
@@ -82,8 +82,8 @@ def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
     n = a.shape[0]
     if n > max_n:
         raise ValueError(f"decomposition guarded to n <= {max_n}, got {n}")
-    rows = [i for i in range(n) if np.any(b[i, :] != 0)]
-    cols = [j for j in range(n) if np.any(b[:, j] != 0)]
+    rows = np.flatnonzero((b != 0).any(axis=1)).tolist()
+    cols = np.flatnonzero((b != 0).any(axis=0)).tolist()
     return complex(
         sum(_pair_sum(a, b, rows, cols, k) for k in range(min(len(rows), len(cols)) + 1))
     )
@@ -132,8 +132,8 @@ def corner_pk(s: Symbol, z: complex, delta, k: int, max_support: int = 12) -> co
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = delta.shape[0]
-    rows = [i for i in range(n) if np.any(delta[i, :] != 0)]
-    cols = [j for j in range(n) if np.any(delta[:, j] != 0)]
+    rows = np.flatnonzero((delta != 0).any(axis=1)).tolist()
+    cols = np.flatnonzero((delta != 0).any(axis=0)).tolist()
     if max(len(rows), len(cols)) > max_support:
         raise ValueError(
             f"perturbation support too large to enumerate ({len(rows)} rows, "
@@ -177,12 +177,12 @@ def _log_ratio(value: float, log_norm: float) -> float:
 def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
     """Expansion-term magnitudes of det(T_N(z) + Delta) relative to the
     limiting scale, for z in an open region (boundary z rejected)."""
-    label = classify_region(s, z)
+    prof = root_profile(s, z)
+    label = _region_order(s, prof)
     if label == BOUNDARY:
         raise ValueError("z lies on the region boundary; dominance is undefined")
     delta = as_matrix(delta)
     n = delta.shape[0]
-    prof = root_profile(s, z)
     log_norm = n * _log_potential(s, prof)
     p_values = [corner_pk(s, z, delta, k) for k in range(s.d + 1)]
     p_abs = [abs(p) for p in p_values]

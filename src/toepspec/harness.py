@@ -327,8 +327,7 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

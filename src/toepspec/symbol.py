@@ -47,6 +47,10 @@ TOL_BOUNDARY = 1e-9
 #: Two roots closer than this are flagged as numerically inseparable.
 TOL_DOUBLE = 1e-7
 
+# region_labels solves its grid in blocks of this many rows, which bounds the
+# (rows, d, d) temporaries of the Aberth step; results do not depend on it.
+_ROOT_BLOCK = 8192
+
 
 class RootFindingError(RuntimeError):
     """Root iteration failed to converge (typically a near-degenerate z)."""
@@ -196,12 +200,26 @@ def _horner_all(c: np.ndarray, x: np.ndarray):
     return p, dp, sc
 
 
+def _aberth_step(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Aberth corrections (p/p') / (1 - (p/p') sum_{j != i} 1/(x_i - x_j)),
+    row by row; non-finite where iterates collide or p' vanishes."""
+    idx = np.arange(x.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = p / dp
+        diffs = x[:, :, None] - x[:, None, :]
+        diffs[:, idx, idx] = np.inf
+        ssum = (1.0 / diffs).sum(axis=2)
+        return ratio / (1.0 - ratio * ssum)
+
+
 def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
     """Simultaneous roots for a batch of same-degree polynomials.
 
     Requires nonzero leading AND constant coefficients in every row (zero
     roots must be stripped by the caller).  Returns (roots (B, deg),
-    ok (B,) convergence mask).
+    ok (B,) convergence mask).  All arithmetic is row by row, so a row's
+    result does not depend on the other rows of the batch; each stage works
+    only on the rows it can still change.
     """
     b, n = c.shape
     deg = n - 1
@@ -209,37 +227,39 @@ def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     x = r0[:, None] * np.exp(1j * angles)[None, :]
     done = np.zeros((b, deg), dtype=bool)
-    idx = np.arange(deg)
+    live = np.arange(b)  # rows with a root not yet done
     for _ in range(max_iter):
-        p, dp, sc = _horner_all(c, x)
-        done |= np.abs(p) <= tol * np.maximum(sc, 1e-300)
-        if done.all():
+        xl = x[live]
+        p, dp, sc = _horner_all(c[live], xl)
+        dl = done[live] | (np.abs(p) <= tol * np.maximum(sc, 1e-300))
+        done[live] = dl
+        keep = ~dl.all(axis=1)
+        if not keep.any():
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = p / dp
-            diffs = x[:, :, None] - x[:, None, :]
-            diffs[:, idx, idx] = np.inf
-            ssum = (1.0 / diffs).sum(axis=2)
-            step = ratio / (1.0 - ratio * ssum)
+        live, xl, dl = live[keep], xl[keep], dl[keep]
+        step = _aberth_step(p[keep], dp[keep], xl)
         bad = ~np.isfinite(step)
         if bad.any():
             # collided iterates or vanishing derivative: nudge instead
-            step = np.where(bad, (0.01 + 0.02j) * (1.0 + np.abs(x)), step)
-        x = np.where(done, x, x - step)
-    # Polish sweeps, applied unconditionally: the residual test above lets a
+            step = np.where(bad, (0.01 + 0.02j) * (1.0 + np.abs(xl)), step)
+        x[live] = np.where(dl, xl, xl - step)
+    # Polish sweeps, applied to every row: the residual test above lets a
     # multiple root freeze while still ~sqrt(tol) away (its residual is
     # quadratic in the distance), which would leave an exact double root
     # looking like two points 1e-6 apart.  Each sweep contracts a straddling
-    # pair by ~1/3, so a few of them reach the attainable floor.
+    # pair by ~1/3, so a few of them reach the attainable floor.  A sweep is
+    # a pure function of (c, x), so a row whose x comes out bit-identical is
+    # at a fixed point and drops out of the later sweeps.
+    moving = np.arange(b)
     for _ in range(8):
-        p, dp, _ = _horner_all(c, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = p / dp
-            diffs = x[:, :, None] - x[:, None, :]
-            diffs[:, idx, idx] = np.inf
-            ssum = (1.0 / diffs).sum(axis=2)
-            step = ratio / (1.0 - ratio * ssum)
-        x = np.where(np.isfinite(step), x - step, x)
+        xm = x[moving]
+        p, dp, _ = _horner_all(c[moving], xm)
+        step = _aberth_step(p, dp, xm)
+        xn = np.where(np.isfinite(step), xm - step, xm)
+        x[moving] = xn
+        moving = moving[(xn.view(np.int64) != xm.view(np.int64)).any(axis=1)]
+        if moving.size == 0:
+            break
     p, _, sc = _horner_all(c, x)
     ok = (np.abs(p) <= 10.0 * tol * np.maximum(sc, 1e-300)) | done
     return x, ok.all(axis=1)
@@ -335,7 +355,13 @@ def classify_region(
 ) -> int | str:
     """Region order dd = d1 - d0 at z, or BOUNDARY when the modulus split
     across the unit circle is not clean at the given tolerance."""
-    prof = root_profile(s, z, tol_boundary=tol_boundary)
+    return _region_order(s, root_profile(s, z, tol_boundary=tol_boundary), tol_boundary)
+
+
+def _region_order(
+    s: Symbol, prof: RootProfile, tol_boundary: float = TOL_BOUNDARY
+) -> int | str:
+    """classify_region's verdict from an already computed root profile."""
     moduli = [abs(r) for r in prof.roots]
     outer = moduli[prof.d0 - 1] if prof.d0 >= 1 else math.inf
     inner = moduli[prof.d0] if prof.d0 < s.d else 0.0
@@ -374,7 +400,12 @@ def region_labels(
             dd[i] = lab
     rows = np.nonzero(easy)[0]
     if rows.size:
-        roots, ok = _aberth_batch(cmat[rows], max_iter, 1e-12)
+        parts = [
+            _aberth_batch(cmat[rows[i : i + _ROOT_BLOCK]], max_iter, 1e-12)
+            for i in range(0, rows.size, _ROOT_BLOCK)
+        ]
+        roots = np.concatenate([r for r, _ in parts])
+        ok = np.concatenate([o for _, o in parts])
         moduli = np.sort(np.abs(roots), axis=1)[:, ::-1]
         d0 = (moduli >= 1.0).sum(axis=1)
         k = moduli.shape[1]

@@ -31,7 +31,7 @@ from .linalg import (
     singular_values,
 )
 from .noise import NoiseModel, corner_support, sample
-from .symbol import Symbol, aberth_roots
+from .symbol import Symbol, aberth_roots, char_poly_coeffs, region_labels
 from .toeplitz import build, build_z, moment_lhs, moment_rhs, trace_word, widom_sum
 
 Check = tuple[str, bool, str]
@@ -98,6 +98,29 @@ def run_checks() -> list[Check]:
         got_r = aberth_roots(c)
         worst = max(worst, _match_multisets(got_r, _companion_roots(c)))
     checks.append(("aberth vs companion eigenvalues", worst < 1e-8, f"max err {worst:.2e}"))
+
+    # --- region labels vs d1 - #{|lam| >= 1} from companion-matrix roots
+    srg = generator(7)
+    s = Symbol(tuple(srg.standard_normal(4) + 1j * srg.standard_normal(4)), d1=2, d2=1)
+    curve = s.curve(256)
+    xs = np.linspace(curve.real.min() - 0.5, curve.real.max() + 0.5, 12)
+    ys = np.linspace(curve.imag.min() - 0.5, curve.imag.max() + 0.5, 12)
+    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    dd, bmask = region_labels(s, zs)
+    checked = mismatched = 0
+    for z, order in zip(zs[~bmask], dd[~bmask]):
+        moduli = np.abs(_companion_roots(char_poly_coeffs(s, z)))
+        if np.abs(moduli - 1.0).min() < 1e-6:
+            continue
+        checked += 1
+        mismatched += int(order != s.d1 - int((moduli >= 1.0).sum()))
+    checks.append(
+        (
+            "region_labels vs companion root counts",
+            checked > 0 and mismatched == 0,
+            f"{mismatched}/{checked} nodes differ",
+        )
+    )
 
     # --- singular values vs spectrum of M M*
     m = rg.standard_normal((6, 6)) + 1j * rg.standard_normal((6, 6))

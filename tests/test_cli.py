@@ -270,3 +270,16 @@ def test_regions_rejects_config_with_grid_flags(tmp_path, capsys):
     for flag in (["--symbol", json.dumps(QUAD_JSON)], ["--rect=-2,2,-2,2"], ["--resolution", "5"]):
         assert main(["regions", "--config", str(cfg), *flag]) == 2
         assert "not both" in capsys.readouterr().err
+
+
+def test_regions_rejects_seed(tmp_path, capsys):
+    # The region map draws no random numbers, so a seed would be ignored.
+    cfg = write_config(tmp_path, z_grid={"rect": [-1, 1, -1, 1], "resolution": 3})
+    out = tmp_path / "out"
+    for source in (
+        ["--config", str(cfg)],
+        ["--symbol", json.dumps(QUAD_JSON), "--rect=-1,1,-1,1", "--resolution", "3"],
+    ):
+        assert main(["regions", *source, "--seed", "3", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()

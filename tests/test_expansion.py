@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
+from toepspec import expansion, symbol
 from toepspec import (
     anti_conc_experiment,
     bidiag_subdet,
@@ -181,6 +182,20 @@ def test_dominance_report_middle_region(quad):
     assert rep.normalized_pd == pytest.approx(
         rep.p_abs[1] / np.exp(rep.log_normalizer), rel=1e-9
     )
+
+
+def test_dominance_report_solves_roots_once(quad, monkeypatch):
+    calls = []
+    real_profile = symbol.root_profile
+
+    def counting_profile(*args, **kwargs):
+        calls.append(args)
+        return real_profile(*args, **kwargs)
+
+    monkeypatch.setattr(symbol, "root_profile", counting_profile)
+    monkeypatch.setattr(expansion, "root_profile", counting_profile)
+    dominance_report(quad, -0.1, corner_delta(quad, 12, 3.0, seed=7))
+    assert len(calls) == 1
 
 
 def test_dominance_report_rejects_boundary(quad):

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from toepspec import _svg, symbol
 from toepspec import (
     BOUNDARY,
     MuASample,
@@ -208,6 +211,95 @@ def test_region_labels_flags_curve_points(quad):
     dd, bmask = region_labels(quad, np.array([2.0 + 0j, 3.0 + 0j]))
     assert bmask[0] and not bmask[1]
     assert dd[1] == 0
+
+
+def _stacked_batches(rng):
+    """Per degree 2..6: random rows plus one row with an exact double root
+    (QUAD at z = -1/4 times random linear factors), as an (rows, deg+1) batch."""
+    for deg in range(2, 7):
+        rows = rng.standard_normal((40, deg + 1)) + 1j * rng.standard_normal((40, deg + 1))
+        double = np.array([0.25, 1.0, 1.0], complex)  # (lam + 1/2)^2
+        for _ in range(deg - 2):
+            double = np.convolve(double, [complex(*rng.standard_normal(2)), 1.0])
+        yield np.vstack([rows[:17], double, rows[17:]])
+
+
+def test_aberth_batch_rows_are_independent(rng):
+    for c in _stacked_batches(rng):
+        roots, ok = symbol._aberth_batch(c, 200, 1e-12)
+        singles = [symbol._aberth_batch(row[None, :], 200, 1e-12) for row in c]
+        assert np.array_equal(roots, np.vstack([r for r, _ in singles]))
+        assert np.array_equal(ok, np.concatenate([o for _, o in singles]))
+        assert ok.all()
+
+
+def test_region_labels_blocks_do_not_change_labels(quad, monkeypatch):
+    xs = np.linspace(-2.5, 3.5, 120)
+    ys = np.linspace(-3.0, 3.0, 120)
+    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    assert zs.size > symbol._ROOT_BLOCK
+    batch_rows = []
+    real_batch = symbol._aberth_batch
+
+    def counting_batch(c, max_iter, tol):
+        batch_rows.append(c.shape[0])
+        return real_batch(c, max_iter, tol)
+
+    monkeypatch.setattr(symbol, "_aberth_batch", counting_batch)
+    dd, bmask = region_labels(quad, zs)
+    assert len(batch_rows) > 1 and max(batch_rows) <= symbol._ROOT_BLOCK
+    parts = [region_labels(quad, zs[i : i + 5000]) for i in range(0, zs.size, 5000)]
+    assert np.array_equal(dd, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(bmask, np.concatenate([p[1] for p in parts]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d1=st.integers(0, 4),
+    d2=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_labels_match_companion_root_counts(d1, d2, seed):
+    # Independent oracle: d1 - #{|lam| >= 1} with the roots of
+    # (a(lam) - z) lam^d2 taken from companion-matrix eigenvalues.
+    assume(1 <= d1 + d2 <= 4)
+    g = np.random.default_rng(seed)
+    coeffs = g.standard_normal(d1 + d2 + 1) + 1j * g.standard_normal(d1 + d2 + 1)
+    s = Symbol(tuple(coeffs), d1, d2)
+    curve = s.curve(256)
+    xs = np.linspace(curve.real.min() - 0.5, curve.real.max() + 0.5, 9)
+    ys = np.linspace(curve.imag.min() - 0.5, curve.imag.max() + 0.5, 9)
+    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    dd, bmask = region_labels(s, zs)
+    for z, order in zip(zs[~bmask], dd[~bmask]):
+        c = char_poly_coeffs(s, z)
+        comp = np.zeros((s.d, s.d), complex)
+        comp[1:, :-1] = np.eye(s.d - 1)
+        comp[:, -1] = -c[:-1] / c[-1]
+        moduli = np.abs(np.linalg.eigvals(comp))
+        if np.abs(moduli - 1.0).min() < 1e-6:
+            continue
+        assert order == s.d1 - int((moduli >= 1.0).sum()), z
+
+
+def test_region_svg_runs_by_hand():
+    # 3 rows x 4 columns, d1 = d = 2; cell (1, 1) is boundary with the same
+    # label as its neighbours, so only the red fill separates its run.
+    labels = np.array([[0, 0, 1, 1], [0, 0, 0, 2], [2, 2, 2, 2]])
+    boundary = np.zeros((3, 4), bool)
+    boundary[1, 1] = True
+    markup = _svg.region_svg(range(4), range(3), labels, boundary, 2, 2, "t")
+    rects = [line for line in markup.splitlines() if line.startswith("<rect x=")]
+    h = 'height="186.67"'
+    assert rects == [
+        f'<rect x="40" y="413.33" width="280" {h} fill="#ffffff"/>',
+        f'<rect x="320" y="413.33" width="280" {h} fill="#808080"/>',
+        f'<rect x="40" y="226.67" width="140" {h} fill="#ffffff"/>',
+        f'<rect x="180" y="226.67" width="140" {h} fill="#cc2222"/>',
+        f'<rect x="320" y="226.67" width="140" {h} fill="#ffffff"/>',
+        f'<rect x="460" y="226.67" width="140" {h} fill="#000000"/>',
+        f'<rect x="40" y="40" width="560" {h} fill="#000000"/>',
+    ]
 
 
 # ---------------------------------------------------------------------------
