@@ -19,6 +19,8 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RunArtifact,
+    _expansion_sizes,
+    _logpot_z_list,
     run_esd,
     run_expansion,
     run_logpot,
@@ -183,13 +185,11 @@ def _cmd_regions(args) -> int:
 
 def _cmd_logpot(args) -> int:
     config = _load_config(args)
-    zs = None
-    if args.z:
-        zs = [_parse_complex(t) for t in args.z]
+    zs = [_parse_complex(t) for t in args.z] if args.z else None
     if args.dry_run:
-        n_z = len(zs) if zs else (len(config.z_grid.points or []))
         print(
-            f"plan: logpot at {n_z} z values over sizes {list(config.sizes)} "
+            f"plan: logpot at {len(_logpot_z_list(config, zs))} z values "
+            f"over sizes {list(config.sizes)} "
             f"x {config.trials} trials, noise {config.noise.kind}"
         )
         return 0
@@ -207,7 +207,9 @@ def _cmd_logpot(args) -> int:
 def _cmd_replace(args) -> int:
     config = _load_config(args)
     z = _parse_complex(args.z)
-    n = args.n or config.sizes[-1]
+    n = args.n if args.n is not None else config.sizes[-1]
+    if n < 1:
+        raise ConfigError("--n must be >= 1")
     model_b = (
         NoiseModel.from_json(_load_json_arg(args.noise_b)) if args.noise_b else config.noise
     )
@@ -230,7 +232,7 @@ def _cmd_replace(args) -> int:
 def _cmd_expand(args) -> int:
     s = Symbol.from_json(_load_json_arg(args.symbol))
     z = _parse_complex(args.z)
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = _expansion_sizes(args.sizes.split(","), args.draws)
     gamma_star = args.gamma_star if args.gamma_star is not None else s.d + 1.0
     if args.dry_run:
         print(

@@ -361,18 +361,30 @@ def _run_cells(cells, fn):
 # Metrics
 
 
-def _mean_pairwise_abs(x: np.ndarray, chunk: int = 256) -> float:
+# The |x - y| means sum in blocks of this many rows, which keeps each
+# (rows, m) complex temporary near cache size; only rounding depends on it.
+_PAIR_BLOCK = 64
+
+
+def _mean_pairwise_abs(x: np.ndarray) -> float:
+    """Mean of |x_i - x_j| over all n^2 ordered pairs.  The terms are
+    symmetric, so each block of rows is summed against itself and, doubled,
+    against the points after it: only the upper triangle is built."""
     n = x.size
     total = 0.0
-    for i0 in range(0, n, chunk):
-        total += float(np.abs(x[i0 : i0 + chunk, None] - x[None, :]).sum())
+    for i0 in range(0, n, _PAIR_BLOCK):
+        i1 = i0 + _PAIR_BLOCK
+        blk = x[i0:i1, None]
+        total += float(np.abs(blk - x[None, i0:i1]).sum())
+        total += 2.0 * float(np.abs(blk - x[None, i1:]).sum())
     return total / (n * n)
 
 
-def _mean_cross_abs(p: np.ndarray, q: np.ndarray, chunk: int = 256) -> float:
+def _mean_cross_abs(p: np.ndarray, q: np.ndarray) -> float:
+    """Mean of |p_i - q_j| over all pairs."""
     total = 0.0
-    for i0 in range(0, p.size, chunk):
-        total += float(np.abs(p[i0 : i0 + chunk, None] - q[None, :]).sum())
+    for i0 in range(0, p.size, _PAIR_BLOCK):
+        total += float(np.abs(p[i0 : i0 + _PAIR_BLOCK, None] - q[None, :]).sum())
     return total / (p.size * q.size)
 
 
@@ -382,7 +394,9 @@ def energy_distance(p, q) -> float:
         2 E|P - Q| - E|P - P'| - E|Q - Q'|,
 
     all means over the empirical products including diagonals, which keeps
-    the statistic nonnegative.  Exact O(nm) evaluation, chunked.
+    the statistic nonnegative.  Every mean is the exact O(nm) sum, evaluated
+    in blocks of rows; the self-terms sum only the upper triangle of their
+    symmetric pair matrix and double it, so they are exact up to rounding.
     """
     p = np.asarray(p, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()
@@ -544,20 +558,26 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     return art
 
 
+def _logpot_z_list(config: ExperimentConfig, z_list=None) -> list[complex]:
+    """The z values a logpot run evaluates: ``z_list``, else the config's
+    point list, each checked to lie off the region boundary."""
+    if z_list is None:
+        if config.z_grid.points is None:
+            raise ConfigError("logpot needs an explicit z point list")
+        z_list = config.z_grid.points
+    z_list = [complex(z) for z in z_list]
+    for z in z_list:
+        if classify_region(config.symbol, z) == BOUNDARY:
+            raise ConfigError(f"z = {z} lies on the region boundary")
+    return z_list
+
+
 def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     """Normalized log-determinants (1/N) log|det(T_N(z) + perturbation)|
     against the limiting log-potential, per (z, N, trial)."""
     s = config.symbol
-    if z_list is None:
-        if config.z_grid.points is None:
-            raise ConfigError("logpot needs an explicit z point list")
-        z_list = list(config.z_grid.points)
-    z_list = [complex(z) for z in z_list]
-    limits = {}
-    for z in z_list:
-        if classify_region(s, z) == BOUNDARY:
-            raise ConfigError(f"z = {z} lies on the region boundary")
-        limits[z] = limit_logpot(s, z)
+    z_list = _logpot_z_list(config, z_list)
+    limits = {z: limit_logpot(s, z) for z in z_list}
     root = seed_sequence(config.seed)
     cells = [(n, t) for n in config.sizes for t in range(config.trials)]
 
@@ -693,12 +713,22 @@ def run_replacement(
     return art
 
 
+def _expansion_sizes(sizes, draws: int) -> list[int]:
+    """run_expansion's sizes as ints, after checking the sizes and draws."""
+    sizes = [int(n) for n in sizes]
+    if not sizes or any(n < 1 for n in sizes):
+        raise ConfigError("sizes must be a nonempty list of positive ints")
+    if draws < 1:
+        raise ConfigError("draws must be >= 1")
+    return sizes
+
+
 def run_expansion(
     s: Symbol, z: complex, sizes, draws: int, gamma_star: float, seed: int
 ) -> RunArtifact:
     """Corner-expansion dominance reports of det(T_N(z) + Delta) over sizes,
     one random corner perturbation Delta (decay N^{-gamma_star}) per draw."""
-    sizes = [int(n) for n in sizes]
+    sizes = _expansion_sizes(sizes, draws)
     records = []
     for n in sizes:
         for t in range(draws):

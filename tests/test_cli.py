@@ -108,6 +108,28 @@ def test_logpot_boundary_z_is_config_error(tmp_path, capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, z",
+    [({"z_grid": {"rect": [-1, 1, -1, 1], "resolution": 3}}, []), ({}, ["--z", "2"])],
+    ids=["rect-grid-without-z", "z-on-curve"],
+)
+def test_logpot_dry_run_validates_like_the_run(tmp_path, capsys, overrides, z):
+    cfg = write_config(tmp_path, **overrides)
+    argv = ["logpot", "--config", str(cfg), *z]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert main(argv + ["--dry-run"]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_logpot_dry_run_counts_z_values(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["logpot", "--config", str(cfg), "--dry-run"]) == 0
+    assert "logpot at 2 z values" in capsys.readouterr().out
+    assert main(["logpot", "--config", str(cfg), "--z", "3", "--dry-run"]) == 0
+    assert "logpot at 1 z values" in capsys.readouterr().out
+
+
 def test_replace_runs(tmp_path):
     cfg = write_config(tmp_path, sizes=[16])
     out = tmp_path / "rep"
@@ -164,6 +186,30 @@ def test_expand_writes_summary(tmp_path):
     )
     assert rc == 0
     assert (out / "expand_summary.csv").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_replace_rejects_nonpositive_n(tmp_path, capsys, n, dry_run):
+    # --n 0 used to fall back to the largest config size.
+    cfg = write_config(tmp_path, sizes=[16])
+    out = tmp_path / "rep"
+    argv = ["replace", "--config", str(cfg), "--z", "1,0", "--n", n, "--out", str(out)]
+    assert main(argv + dry_run) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--draws", "0"], ["--sizes", "6,0"]], ids=["draws-0", "size-0"]
+)
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_expand_rejects_empty_work(tmp_path, capsys, flags, dry_run):
+    out = tmp_path / "exp"
+    argv = ["expand", "--symbol", json.dumps(QUAD_JSON), "--z", "3,0", "--sizes", "6,8"]
+    assert main(argv + flags + ["--out", str(out), *dry_run]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_subcommand(monkeypatch, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import toepspec
+from toepspec import harness
 from conftest import random_complex
 from toepspec import (
     BOUNDARY,
@@ -149,10 +150,35 @@ def test_energy_distance_properties(rng):
     p = random_complex(rng, 40, 1).ravel()
     q = random_complex(rng, 30, 1).ravel() + 2.0
     assert energy_distance(p, p) == pytest.approx(0.0, abs=1e-14)
+    big = random_complex(rng, 1000, 1).ravel()
+    assert abs(energy_distance(big, big)) <= 1e-14
     d = energy_distance(p, q)
     assert d > 0.0
     assert energy_distance(p + 1j, q + 1j) == pytest.approx(d, rel=1e-12)
     assert energy_distance(q, p) == pytest.approx(d, rel=1e-12)
+
+
+def mean_abs_full_matrix(x, y):
+    return float(np.abs(x[:, None] - y[None, :]).mean())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+def test_mean_pairwise_abs_matches_full_matrix(rng, n):
+    # Sizes around the block edge, and 1000 points, where most pairs lie in
+    # off-diagonal blocks of the triangle.
+    x = random_complex(rng, n, 1).ravel()
+    assert harness._mean_pairwise_abs(x) == pytest.approx(
+        mean_abs_full_matrix(x, x), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("n, m", [(1, 7), (63, 1000), (65, 130), (1000, 64)])
+def test_mean_cross_abs_matches_full_matrix(rng, n, m):
+    p = random_complex(rng, n, 1).ravel()
+    q = random_complex(rng, m, 1).ravel() + 0.5
+    assert harness._mean_cross_abs(p, q) == pytest.approx(
+        mean_abs_full_matrix(p, q), rel=1e-12
+    )
 
 
 def ks_brute(x, y):
@@ -362,6 +388,14 @@ def test_run_expansion_records_and_inputs(quad):
     assert art.seed == 5
     assert art.inputs["gamma_star"] == 3.0 and art.inputs["z"] == [3.0, 0.0]
     assert run_expansion(quad, 3.0, [6, 8], 2, 3.0, 6).config_hash != art.config_hash
+
+
+@pytest.mark.parametrize(
+    "sizes, draws", [([6, 8], 0), ([6, 8], -1), ([], 2), ([6, 0], 2), ([-3], 2)]
+)
+def test_run_expansion_rejects_empty_work(quad, sizes, draws):
+    with pytest.raises(ConfigError):
+        run_expansion(quad, 3.0, sizes, draws, 3.0, 5)
 
 
 # ---------------------------------------------------------------------------
