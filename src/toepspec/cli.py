@@ -4,6 +4,11 @@ Subcommands: spectrum (perturbed-spectrum experiment), regions (region-order
 map), logpot (log-determinant vs. limit), replace (two-ensemble comparison),
 expand (corner expansion dominance), validate (built-in oracle suite).
 
+Every run subcommand goes through ``_run``: its ``_cmd_*`` turns the flags
+into the runner's arguments, the runner's input step checks them and gives
+the inputs echo the artifact hashes, and ``--dry-run`` prints that echo
+without computing.
+
 Exit codes: 0 success, 1 assertion-suite failure, 2 configuration error
 (bad flags, malformed JSON, missing files).
 """
@@ -18,9 +23,12 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    RunArtifact,
-    _expansion_sizes,
-    _logpot_z_list,
+    _dumps,
+    _expansion_inputs,
+    _hash,
+    _logpot_inputs,
+    _region_inputs,
+    _replacement_inputs,
     run_esd,
     run_expansion,
     run_logpot,
@@ -105,15 +113,43 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json(data)
 
 
-def _emit(art: RunArtifact, config_outputs, args) -> None:
-    outdir = args.out or config_outputs
+# The line each run subcommand prints per summary row.
+_SUMMARY = {
+    "spectrum": "n={n} median_energy_distance={median_energy_distance:.6g} "
+    "converged={converged_fraction:.3g}",
+    "regions": "label={label} nodes={nodes} fraction={fraction:.4g}",
+    "logpot": "z={z_re:g}{z_im:+g}i n={n} median={median_log_pot} limit={limit:.6g} "
+    "gap={abs_gap}",
+    "replace": "ks_distance={ks_distance:.6g} bounds_ok={bounds_ok} "
+    "max_bound_ratio={max_bound_ratio:.6g}",
+    "expand": "n={n} order={region_order} above={median_ratio_above:.4g} "
+    "below={median_ratio_below:.4g} pd={median_normalized_pd:.4g}",
+}
+
+
+def _run(args) -> int:
+    """Dry-run or run one subcommand.  ``args.cmd`` gives the input step, the
+    runner, their shared arguments and the config's output directory; the
+    dry run prints the hash and canonical JSON the run writes to its meta."""
+    threads = thread_count()
+    inputs_of, runner, run_args, outputs = args.cmd(args)
+    if args.dry_run:
+        inputs = inputs_of(*run_args)
+        print(f"plan: {args.command} config hash {_hash(inputs)} threads {threads}")
+        print(_dumps(inputs))
+        return 0
+    art = runner(*run_args)
+    for row in art.summary:
+        print(_SUMMARY[args.command].format(**row))
+    outdir = args.out or outputs
     if outdir:
-        paths = art.write(outdir, fmt=args.format, svg=args.svg)
-        for p in paths:
+        for p in art.write(outdir, fmt=args.format, svg=args.svg):
             print(f"wrote {p}")
+    return 0 if all(row.get("bounds_ok", True) for row in art.summary) else 1
 
 
-def _common_run_flags(p: argparse.ArgumentParser) -> None:
+def _common_run_flags(p: argparse.ArgumentParser, cmd) -> None:
+    p.set_defaults(func=_run, cmd=cmd)
     p.add_argument("--seed", type=int, default=None, help="random seed (overrides the config seed)")
     p.add_argument(
         "--set",
@@ -129,32 +165,16 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--dry-run",
         action="store_true",
-        help="validate inputs and print the execution plan without computing",
+        help="check the inputs and print the config hash and inputs echo without computing",
     )
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     config = _load_config(args)
-    if args.dry_run:
-        cells = len(config.sizes) * config.trials
-        print(
-            f"plan: spectrum over sizes {list(config.sizes)} x {config.trials} trials "
-            f"({cells} cells), noise {config.noise.kind}, gamma {config.gamma}, "
-            f"seed {config.seed}, threads {thread_count()}, "
-            f"config hash {config.config_hash()}"
-        )
-        return 0
-    art = run_esd(config)
-    for row in art.summary:
-        print(
-            f"n={row['n']} median_energy_distance={row['median_energy_distance']:.6g} "
-            f"converged={row['converged_fraction']:.3g}"
-        )
-    _emit(art, config.outputs, args)
-    return 0
+    return ExperimentConfig.to_json, run_esd, (config,), config.outputs
 
 
-def _cmd_regions(args) -> int:
+def _cmd_regions(args):
     if args.seed is not None:
         raise ConfigError("regions draws no random numbers; --seed does not apply")
     grid_flags = (args.symbol, args.rect, args.resolution)
@@ -162,93 +182,41 @@ def _cmd_regions(args) -> int:
         if any(v is not None for v in grid_flags):
             raise ConfigError("regions takes --config or --symbol/--rect/--resolution, not both")
         config = _load_config(args)
-        s = config.symbol
         grid = config.z_grid
         if grid.rect is None:
             raise ConfigError("regions needs a rect z_grid in the config")
-        rect, res, outputs = grid.rect, grid.resolution, config.outputs
+        run_args = (config.symbol, grid.rect, grid.resolution)
+        outputs = config.outputs
     else:
-        if not all(grid_flags):
+        if any(v is None for v in grid_flags):
             raise ConfigError("regions needs --config or --symbol/--rect/--resolution")
         s = Symbol.from_json(_load_json_arg(args.symbol))
-        rect = _parse_rect(args.rect)
-        res, outputs = args.resolution, None
-    if args.dry_run:
-        print(f"plan: region map {res}x{res} on rect {rect}, symbol d1={s.d1} d2={s.d2}")
-        return 0
-    art = run_region_map(s, rect, res)
-    for row in art.summary:
-        print(f"label={row['label']} nodes={row['nodes']} fraction={row['fraction']:.4g}")
-    _emit(art, outputs, args)
-    return 0
+        run_args, outputs = (s, _parse_rect(args.rect), args.resolution), None
+    return _region_inputs, run_region_map, run_args, outputs
 
 
-def _cmd_logpot(args) -> int:
+def _cmd_logpot(args):
     config = _load_config(args)
     zs = [_parse_complex(t) for t in args.z] if args.z else None
-    if args.dry_run:
-        print(
-            f"plan: logpot at {len(_logpot_z_list(config, zs))} z values "
-            f"over sizes {list(config.sizes)} "
-            f"x {config.trials} trials, noise {config.noise.kind}"
-        )
-        return 0
-    art = run_logpot(config, zs)
-    for row in art.summary:
-        print(
-            f"z={row['z_re']:g}{row['z_im']:+g}i n={row['n']} "
-            f"median={row['median_log_pot']} limit={row['limit']:.6g} "
-            f"gap={row['abs_gap']}"
-        )
-    _emit(art, config.outputs, args)
-    return 0
+    return _logpot_inputs, run_logpot, (config, zs), config.outputs
 
 
-def _cmd_replace(args) -> int:
+def _cmd_replace(args):
     config = _load_config(args)
-    z = _parse_complex(args.z)
     n = args.n if args.n is not None else config.sizes[-1]
-    if n < 1:
-        raise ConfigError("--n must be >= 1")
     model_b = (
         NoiseModel.from_json(_load_json_arg(args.noise_b)) if args.noise_b else config.noise
     )
-    if args.dry_run:
-        print(
-            f"plan: replacement at z={z} n={n}, {config.trials} trials, "
-            f"{config.noise.kind} vs {model_b.kind}"
-        )
-        return 0
-    art = run_replacement(config, z, n, model_b)
-    row = art.summary[0]
-    print(
-        f"ks_distance={row['ks_distance']:.6g} bounds_ok={row['bounds_ok']} "
-        f"max_bound_ratio={row['max_bound_ratio']:.6g}"
-    )
-    _emit(art, config.outputs, args)
-    return 0 if row["bounds_ok"] else 1
+    run_args = (config, _parse_complex(args.z), n, model_b)
+    return _replacement_inputs, run_replacement, run_args, config.outputs
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     s = Symbol.from_json(_load_json_arg(args.symbol))
-    z = _parse_complex(args.z)
-    sizes = _expansion_sizes(args.sizes.split(","), args.draws)
     gamma_star = args.gamma_star if args.gamma_star is not None else s.d + 1.0
-    if args.dry_run:
-        print(
-            f"plan: expansion dominance at z={z}, sizes {sizes}, "
-            f"{args.draws} draws, gamma_star {gamma_star}"
-        )
-        return 0
-    art = run_expansion(s, z, sizes, args.draws, gamma_star, args.seed or 0)
-    for row in art.summary:
-        print(
-            f"n={row['n']} order={row['region_order']} "
-            f"above={row['median_ratio_above']:.4g} below={row['median_ratio_below']:.4g} "
-            f"pd={row['median_normalized_pd']:.4g}"
-        )
-    _emit(art, None, args)
-    return 0
+    sizes = args.sizes.split(",")
+    run_args = (s, _parse_complex(args.z), sizes, args.draws, gamma_star, args.seed or 0)
+    return _expansion_inputs, run_expansion, run_args, None
 
 
 def _cmd_validate(args) -> int:
@@ -273,30 +241,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="perturbed-spectrum experiment (ESD)")
     p.add_argument("--config", required=True, help="experiment config JSON (path or inline)")
-    _common_run_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
+    _common_run_flags(p, _cmd_spectrum)
 
     p = sub.add_parser("regions", help="region-order map over a z rectangle")
     p.add_argument("--config", default=None)
     p.add_argument("--symbol", default=None, help="symbol JSON (path or inline)")
     p.add_argument("--rect", default=None, help="re_lo,re_hi,im_lo,im_hi")
     p.add_argument("--resolution", type=int, default=None)
-    _common_run_flags(p)
-    p.set_defaults(func=_cmd_regions)
+    _common_run_flags(p, _cmd_regions)
 
     p = sub.add_parser("logpot", help="log-determinant vs limiting log-potential")
     p.add_argument("--config", required=True)
     p.add_argument("--z", action="append", default=None, help="z value 're,im' (repeatable)")
-    _common_run_flags(p)
-    p.set_defaults(func=_cmd_logpot)
+    _common_run_flags(p, _cmd_logpot)
 
     p = sub.add_parser("replace", help="two-ensemble singular-value comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--z", required=True, help="z value 're,im'")
     p.add_argument("--n", type=int, default=None, help="matrix size (default: largest config size)")
     p.add_argument("--noise-b", default=None, help="second noise model JSON (default: config noise)")
-    _common_run_flags(p)
-    p.set_defaults(func=_cmd_replace)
+    _common_run_flags(p, _cmd_replace)
 
     p = sub.add_parser("expand", help="corner-expansion dominance report")
     p.add_argument("--symbol", required=True, help="symbol JSON (path or inline)")
@@ -304,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="10,20,40")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--gamma-star", type=float, default=None, help="default: d + 1")
-    _common_run_flags(p)
-    p.set_defaults(func=_cmd_expand)
+    _common_run_flags(p, _cmd_expand)
 
     p = sub.add_parser("validate", help="run the built-in oracle suite")
     p.set_defaults(func=_cmd_validate)

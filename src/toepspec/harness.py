@@ -4,8 +4,11 @@ Every runner lives here.  Each derives all randomness from its seed through
 keyed Philox streams and returns a RunArtifact holding per-cell records,
 summaries, and ``inputs``: the JSON echo of everything the run computed from,
 which also gives the artifact its config hash and seed (the output directory
-is not an input).  Artifacts serialize to JSONL/CSV (and optional static SVG)
-with canonical, byte-stable formatting: the same inputs give identical files.
+is not an input).  A runner's first step, ``_<kind>_inputs``
+(``ExperimentConfig.to_json`` for run_esd), checks its arguments and returns
+that echo; the CLI's dry run calls the same step.  Artifacts serialize to
+JSONL/CSV (and optional static SVG) with canonical, byte-stable formatting:
+the same inputs give identical files.
 
 Trials run on a thread pool sized by the TOEPSPEC_THREADS environment
 variable (default: CPU count); results are reduced in fixed cell order, so
@@ -21,7 +24,7 @@ import math
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ from ._rng import (
 )
 from .expansion import dominance_report
 from .linalg import eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals
-from .noise import NoiseModel, corner_delta, sample
+from .noise import NoiseModel, _check_corner, corner_delta, sample
 from .symbol import Symbol, region_labels, limit_logpot, classify_region, BOUNDARY, sample_mu_a
 from .toeplitz import build, build_z
 
@@ -141,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.mu_samples < 1:
             raise ConfigError("mu_samples must be >= 1")
+        if self.noise.kind == "corner_delta":
+            _check_corner(self.symbol, sizes[0], self.noise.gamma_star)
 
     def to_json(self) -> dict:
         """Everything a run computes from; ``outputs`` (where it writes) is left out."""
@@ -164,18 +169,7 @@ class ExperimentConfig:
                 raise ConfigError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "symbol",
-            "sizes",
-            "gamma",
-            "noise",
-            "trials",
-            "z_grid",
-            "mu_samples",
-            "seed",
-            "outputs",
-        }
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         try:
@@ -336,12 +330,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def thread_count() -> int:
     v = os.environ.get(THREADS_ENV)
-    if v:
-        try:
-            return max(1, int(v))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {v!r}") from exc
-    return os.cpu_count() or 1
+    if not v:
+        return os.cpu_count() or 1
+    if not (v.strip().isdecimal() and int(v) >= 1):
+        raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {v!r}")
+    return int(v)
 
 
 def _run_cells(cells, fn):
@@ -520,15 +513,26 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
     return art
 
 
+def _off_boundary(s: Symbol, z) -> complex:
+    """``z`` as a complex number, checked to lie off the region boundary."""
+    z = complex(z)
+    if classify_region(s, z) == BOUNDARY:
+        raise ConfigError(f"z = {z} lies on the region boundary")
+    return z
+
+
+def _region_inputs(s: Symbol, rect, resolution: int) -> dict:
+    """run_region_map's inputs echo; ZGrid checks the rect and resolution."""
+    grid = ZGrid(rect=tuple(float(v) for v in rect), resolution=resolution)
+    return {"symbol": s.to_json(), **grid.to_json()}
+
+
 def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     """Region-order labels on a rectangular z grid; CSV rows (re, im, label)
     plus an SVG raster.  Boundary/unresolved nodes are labeled 'boundary'."""
-    rect = [float(v) for v in rect]
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise ConfigError("rect must satisfy re_lo < re_hi and im_lo < im_hi")
-    if resolution < 2:
-        raise ConfigError("resolution must be >= 2")
+    inputs = _region_inputs(s, rect, resolution)
+    re_lo, re_hi, im_lo, im_hi = inputs["rect"]
+    resolution = inputs["resolution"]
     xs = np.linspace(re_lo, re_hi, resolution)
     ys = np.linspace(im_lo, im_hi, resolution)
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -549,7 +553,6 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
         {"label": k, "nodes": v, "fraction": v / (resolution * resolution)}
         for k, v in sorted((str(k), v) for k, v in counts.items())
     ]
-    inputs = {"symbol": s.to_json(), "rect": rect, "resolution": resolution}
     art = RunArtifact("regions", inputs, [], summary)
     art.tables["grid"] = (("re", "im", "label"), rows)
     art.svgs["map"] = _svg.region_svg(
@@ -558,25 +561,24 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     return art
 
 
-def _logpot_z_list(config: ExperimentConfig, z_list=None) -> list[complex]:
-    """The z values a logpot run evaluates: ``z_list``, else the config's
-    point list, each checked to lie off the region boundary."""
+def _logpot_inputs(config: ExperimentConfig, z_list=None) -> dict:
+    """run_logpot's inputs echo: the config with ``z_grid`` set to the z
+    values it evaluates (``z_list``, else the config's point list), each
+    checked to lie off the region boundary."""
     if z_list is None:
         if config.z_grid.points is None:
             raise ConfigError("logpot needs an explicit z point list")
         z_list = config.z_grid.points
-    z_list = [complex(z) for z in z_list]
-    for z in z_list:
-        if classify_region(config.symbol, z) == BOUNDARY:
-            raise ConfigError(f"z = {z} lies on the region boundary")
-    return z_list
+    points = tuple(_off_boundary(config.symbol, z) for z in z_list)
+    return {**config.to_json(), "z_grid": ZGrid(points=points).to_json()}
 
 
 def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     """Normalized log-determinants (1/N) log|det(T_N(z) + perturbation)|
     against the limiting log-potential, per (z, N, trial)."""
     s = config.symbol
-    z_list = _logpot_z_list(config, z_list)
+    inputs = _logpot_inputs(config, z_list)
+    z_list = [complex(re, im) for re, im in inputs["z_grid"]["points"]]
     limits = {z: limit_logpot(s, z) for z in z_list}
     root = seed_sequence(config.seed)
     cells = [(n, t) for n in config.sizes for t in range(config.trials)]
@@ -623,8 +625,20 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
                     "valid_trials": len(vals),
                 }
             )
-    inputs = {**config.to_json(), "z_grid": ZGrid(points=tuple(z_list)).to_json()}
     return RunArtifact("logpot", inputs, records, summary)
+
+
+def _replacement_inputs(
+    config: ExperimentConfig, z: complex, n: int, model_b: NoiseModel
+) -> dict:
+    """run_replacement's inputs echo: the config plus ``z``, ``n`` and the
+    second ensemble, after checking ``n`` against both ensembles."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    for model in (config.noise, model_b):
+        if model.kind == "corner_delta":
+            _check_corner(config.symbol, n, model.gamma_star)
+    return {**config.to_json(), "z": _cpair(z), "n": n, "noise_b": model_b.to_json()}
 
 
 def run_replacement(
@@ -638,6 +652,8 @@ def run_replacement(
 
     at every grid xi, and reporting the KS distance of pooled spectra.
     """
+    inputs = _replacement_inputs(config, z, n, model_b)
+    z, n = complex(*inputs["z"]), inputs["n"]
     s, model_a, gamma, trials = config.symbol, config.noise, config.gamma, config.trials
     tz = build_z(s, z, n)
     root = seed_sequence(config.seed)
@@ -688,8 +704,8 @@ def run_replacement(
     ks = ks_distance(flat_a, flat_b)
     summary = [
         {
-            "z_re": complex(z).real,
-            "z_im": complex(z).imag,
+            "z_re": z.real,
+            "z_im": z.imag,
             "n": n,
             "trials": trials,
             "ks_distance": ks,
@@ -697,7 +713,6 @@ def run_replacement(
             "max_bound_ratio": max(r["max_bound_ratio"] for r in records),
         }
     ]
-    inputs = {**config.to_json(), "z": _cpair(z), "n": n, "noise_b": model_b.to_json()}
     art = RunArtifact("replace", inputs, records, summary)
     hi = float(max(flat_a.max(), flat_b.max())) or 1.0
     edges = np.linspace(0.0, hi, 51)
@@ -713,14 +728,21 @@ def run_replacement(
     return art
 
 
-def _expansion_sizes(sizes, draws: int) -> list[int]:
-    """run_expansion's sizes as ints, after checking the sizes and draws."""
+def _expansion_inputs(
+    s: Symbol, z: complex, sizes, draws: int, gamma_star: float, seed: int
+) -> dict:
+    """run_expansion's inputs echo, after checking the sizes and draws, that
+    z lies off the region boundary and that the corners fit every size."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 1 for n in sizes):
         raise ConfigError("sizes must be a nonempty list of positive ints")
     if draws < 1:
         raise ConfigError("draws must be >= 1")
-    return sizes
+    _check_corner(s, min(sizes), gamma_star)
+    z = _off_boundary(s, z)
+    return dict(
+        symbol=s.to_json(), z=_cpair(z), sizes=sizes, draws=draws, gamma_star=gamma_star, seed=seed
+    )
 
 
 def run_expansion(
@@ -728,7 +750,8 @@ def run_expansion(
 ) -> RunArtifact:
     """Corner-expansion dominance reports of det(T_N(z) + Delta) over sizes,
     one random corner perturbation Delta (decay N^{-gamma_star}) per draw."""
-    sizes = _expansion_sizes(sizes, draws)
+    inputs = _expansion_inputs(s, z, sizes, draws, gamma_star, seed)
+    z, sizes = complex(*inputs["z"]), inputs["sizes"]
     records = []
     for n in sizes:
         for t in range(draws):
@@ -758,7 +781,4 @@ def run_expansion(
                 "median_normalized_pd": float(np.median([r["normalized_pd"] for r in rows])),
             }
         )
-    inputs = dict(
-        symbol=s.to_json(), z=_cpair(z), sizes=sizes, draws=draws, gamma_star=gamma_star, seed=seed
-    )
     return RunArtifact("expand", inputs, records, summary)

@@ -140,16 +140,24 @@ def corner_support(
     return sorted(set(pairs))
 
 
-def corner_delta(
-    s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
-) -> np.ndarray:
-    """Random corner perturbation: entries N^{-gamma_star} * Uniform[1/2, 1]
-    on the corner support, zero elsewhere.  Requires gamma_star > d so the
-    perturbation norm vanishes faster than any band weight."""
+def _check_corner(s: Symbol, n: int, gamma_star: float) -> None:
+    """The corner regime's preconditions: gamma_star > d, so the perturbation
+    norm vanishes faster than any band weight, and N > max(d1, d2), so both
+    corners fit in the matrix."""
     if not gamma_star > s.d:
         raise ValueError(
             f"gamma_star must exceed the symbol degree d = {s.d}, got {gamma_star}"
         )
+    if n <= max(s.d1, s.d2):
+        raise ValueError(f"matrix size {n} too small for corner widths ({s.d1}, {s.d2})")
+
+
+def corner_delta(
+    s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
+) -> np.ndarray:
+    """Random corner perturbation: entries N^{-gamma_star} * Uniform[1/2, 1]
+    on the corner support, zero elsewhere (preconditions: ``_check_corner``)."""
+    _check_corner(s, n, gamma_star)
     support = corner_support(n, s.d1, s.d2, transpose=transpose)
     rg = generator(seed)
     vals = float(n) ** (-gamma_star) * rg.uniform(0.5, 1.0, size=len(support))

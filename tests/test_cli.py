@@ -28,6 +28,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def dry_run_plan(capsys):
+    """(config hash, inputs echo) from a dry run's two stdout lines."""
+    plan, echo = capsys.readouterr().out.splitlines()
+    assert plan.startswith("plan: ")
+    return plan.split("config hash ")[1].split()[0], json.loads(echo)
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -125,9 +132,9 @@ def test_logpot_dry_run_validates_like_the_run(tmp_path, capsys, overrides, z):
 def test_logpot_dry_run_counts_z_values(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["logpot", "--config", str(cfg), "--dry-run"]) == 0
-    assert "logpot at 2 z values" in capsys.readouterr().out
+    assert len(dry_run_plan(capsys)[1]["z_grid"]["points"]) == 2
     assert main(["logpot", "--config", str(cfg), "--z", "3", "--dry-run"]) == 0
-    assert "logpot at 1 z values" in capsys.readouterr().out
+    assert len(dry_run_plan(capsys)[1]["z_grid"]["points"]) == 1
 
 
 def test_replace_runs(tmp_path):
@@ -329,3 +336,84 @@ def test_regions_rejects_seed(tmp_path, capsys):
         assert main(["regions", *source, "--seed", "3", "--out", str(out)]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+CORNER_NOISE = {"kind": "corner_delta", "gamma_star": 1.0}
+
+
+def quad_flags(*extra):
+    return ["--symbol", json.dumps(QUAD_JSON), *extra]
+
+
+def config_flag(tmp_path, **overrides):
+    return ["--config", str(write_config(tmp_path, **overrides))]
+
+
+# Inputs that the run rejects, by name: argv builders taking tmp_path.
+BAD_INPUTS = {
+    "rect-reversed": lambda p: ["regions", *quad_flags("--rect=1,-1,-1,1", "--resolution", "3")],
+    "resolution-0": lambda p: ["regions", *quad_flags("--rect=-1,1,-1,1", "--resolution", "0")],
+    "resolution-1": lambda p: ["regions", *quad_flags("--rect=-1,1,-1,1", "--resolution", "1")],
+    "expand-gamma-star": lambda p: ["expand", *quad_flags("--z", "3", "--gamma-star", "1")],
+    "expand-z-on-curve": lambda p: ["expand", *quad_flags("--z", "2")],
+    "expand-size-2": lambda p: ["expand", *quad_flags("--z", "3", "--sizes", "2")],
+    "spectrum-corner": lambda p: ["spectrum", *config_flag(p, noise=CORNER_NOISE)],
+    "logpot-corner": lambda p: ["logpot", *config_flag(p, noise=CORNER_NOISE)],
+    "spectrum-corner-size-2": lambda p: [
+        "spectrum", *config_flag(p, sizes=[2, 8], noise={**CORNER_NOISE, "gamma_star": 3.0})
+    ],
+    "replace-corner-noise-b": lambda p: [
+        "replace", *config_flag(p), "--z", "1", "--noise-b", json.dumps(CORNER_NOISE)
+    ],
+}
+
+# One good input per run subcommand, small enough to run in a test.
+GOOD_INPUTS = {
+    "spectrum": lambda p: ["spectrum", *config_flag(p, sizes=[8], trials=1, mu_samples=100)],
+    "regions": lambda p: ["regions", *quad_flags("--rect=-2.5,3.5,-3,3", "--resolution", "5")],
+    "logpot": lambda p: ["logpot", *config_flag(p, trials=1), "--z=-0.1"],
+    "replace": lambda p: ["replace", *config_flag(p, sizes=[16], trials=1), "--z", "1"],
+    "expand": lambda p: ["expand", *quad_flags("--z", "1", "--sizes", "6", "--draws", "2")],
+}
+
+
+def assert_rejected_alike(argv, out, capsys):
+    """The run and the dry run both exit 2 with the same stderr and write nothing."""
+    errs = []
+    for mode in ([], ["--dry-run"]):
+        assert main(argv + ["--out", str(out), *mode]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1] != ""
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, case):
+    assert_rejected_alike(BAD_INPUTS[case](tmp_path), tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", list(GOOD_INPUTS))
+def test_bad_thread_count_fails_every_run_subcommand(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    monkeypatch.setenv("TOEPSPEC_THREADS", value)
+    assert_rejected_alike(GOOD_INPUTS[command](tmp_path), tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command", list(GOOD_INPUTS))
+def test_dry_run_prints_the_meta_hash_and_echo(tmp_path, capsys, command):
+    argv = GOOD_INPUTS[command](tmp_path)
+    assert main(argv + ["--dry-run"]) == 0
+    plan_hash, echo = dry_run_plan(capsys)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    (meta,) = out.glob("*_meta.json")
+    meta = json.loads(meta.read_text())
+    assert (plan_hash, echo) == (meta["config_hash"], meta["config"])
+
+
+def test_regions_resolution_0_reaches_the_resolution_check(tmp_path, capsys):
+    # 0 used to read as a missing flag ("regions needs --config or ...").
+    assert main(BAD_INPUTS["resolution-0"](tmp_path)) == 2
+    assert "resolution >= 2" in capsys.readouterr().err

@@ -118,9 +118,10 @@ def test_config_hash_ignores_outputs(quad):
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("TOEPSPEC_THREADS", "3")
     assert thread_count() == 3
-    monkeypatch.setenv("TOEPSPEC_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_count()
+    for bad in ("zero", "0", "-3"):
+        monkeypatch.setenv("TOEPSPEC_THREADS", bad)
+        with pytest.raises(ConfigError):
+            thread_count()
     monkeypatch.delenv("TOEPSPEC_THREADS")
     assert thread_count() >= 1
 
