@@ -23,6 +23,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    ZGrid,
     _dumps,
     _expansion_inputs,
     _hash,
@@ -105,12 +106,13 @@ def _apply_overrides(data: dict, sets: list[str]) -> None:
         node[keys[-1]] = value
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, parse=ExperimentConfig.from_json):
+    """The ``--config`` JSON after ``--set`` and ``--seed``, read by ``parse``."""
     data = _load_json_arg(args.config)
     _apply_overrides(data, args.set or [])
     if args.seed is not None:
         data["seed"] = args.seed
-    return ExperimentConfig.from_json(data)
+    return parse(data)
 
 
 # The line each run subcommand prints per summary row.
@@ -181,12 +183,12 @@ def _cmd_regions(args):
     if args.config:
         if any(v is not None for v in grid_flags):
             raise ConfigError("regions takes --config or --symbol/--rect/--resolution, not both")
-        config = _load_config(args)
-        grid = config.z_grid
+        data = _load_config(args, ExperimentConfig.fields_of)
+        grid = ZGrid.from_json(data.get("z_grid"))
         if grid.rect is None:
             raise ConfigError("regions needs a rect z_grid in the config")
-        run_args = (config.symbol, grid.rect, grid.resolution)
-        outputs = config.outputs
+        run_args = (Symbol.from_json(data.get("symbol")), grid.rect, grid.resolution)
+        outputs = data.get("outputs")
     else:
         if any(v is None for v in grid_flags):
             raise ConfigError("regions needs --config or --symbol/--rect/--resolution")

@@ -50,20 +50,36 @@ def _det(m: np.ndarray) -> complex:
     return lu_logdet(m).det
 
 
-def _pair_sum(a: np.ndarray, b: np.ndarray, rows, cols, k: int) -> complex:
-    """sum_{X in rows, Y in cols, |X|=|Y|=k} sign(X) sign(Y) det(A[X^c, Y^c]) det(B[X, Y])."""
+def _support(pairs, max_support: int = 12) -> tuple[list, list]:
+    """Sorted rows and columns of (row, col) pairs, guarded against a large enumeration."""
+    rows = sorted({i for i, _ in pairs})
+    cols = sorted({j for _, j in pairs})
+    if max(len(rows), len(cols)) > max_support:
+        raise ValueError(
+            f"perturbation support too large to enumerate ({len(rows)} rows, "
+            f"{len(cols)} cols; guard is {max_support})"
+        )
+    return rows, cols
+
+
+def _minor_table(a: np.ndarray, rows, cols, k: int) -> list:
+    """(X, Y, sign(X) sign(Y) det(A[X^c, Y^c])) over k-subsets X of rows, Y of cols."""
     n = a.shape[0]
     every = np.arange(n)
+    return [
+        (x, y, perm_sign(x, n) * perm_sign(y, n)
+         * _det(a[np.ix_(np.delete(every, x), np.delete(every, y))]))
+        for x in combinations(rows, k) for y in combinations(cols, k)
+    ]
+
+
+def _table_sum(table, b: np.ndarray) -> complex:
+    """sum over the table of its signed minor times det(B[X, Y]), skipping exact zeros."""
     total = 0j
-    for x in combinations(rows, k):
-        xc = np.delete(every, x)
-        sx = perm_sign(x, n)
-        for y in combinations(cols, k):
-            db = _det(b[np.ix_(x, y)])
-            if db == 0:
-                continue
-            yc = np.delete(every, y)
-            total += sx * perm_sign(y, n) * _det(a[np.ix_(xc, yc)]) * db
+    for x, y, minor in table:
+        db = _det(b[np.ix_(x, y)])
+        if db != 0:
+            total += minor * db
     return total
 
 
@@ -82,11 +98,9 @@ def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
     n = a.shape[0]
     if n > max_n:
         raise ValueError(f"decomposition guarded to n <= {max_n}, got {n}")
-    rows = np.flatnonzero((b != 0).any(axis=1)).tolist()
-    cols = np.flatnonzero((b != 0).any(axis=0)).tolist()
-    return complex(
-        sum(_pair_sum(a, b, rows, cols, k) for k in range(min(len(rows), len(cols)) + 1))
-    )
+    rows, cols = _support(np.argwhere(b != 0).tolist(), max_support=n)
+    ks = range(min(len(rows), len(cols)) + 1)
+    return complex(sum(_table_sum(_minor_table(a, rows, cols, k), b) for k in ks))
 
 
 def bidiag_subdet(zfrak: complex, x, y, n: int) -> complex:
@@ -131,20 +145,9 @@ def corner_pk(s: Symbol, z: complex, delta, k: int, max_support: int = 12) -> co
         raise ValueError("perturbation must be square")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = delta.shape[0]
-    rows = np.flatnonzero((delta != 0).any(axis=1)).tolist()
-    cols = np.flatnonzero((delta != 0).any(axis=0)).tolist()
-    if max(len(rows), len(cols)) > max_support:
-        raise ValueError(
-            f"perturbation support too large to enumerate ({len(rows)} rows, "
-            f"{len(cols)} cols; guard is {max_support})"
-        )
-    tz = build_z(s, z, n)
-    if k == 0:
-        return _det(tz)
-    if k > min(len(rows), len(cols)):
-        return 0j
-    return complex(_pair_sum(tz, delta, rows, cols, k))
+    rows, cols = _support(np.argwhere(delta != 0).tolist(), max_support)
+    tz = build_z(s, z, delta.shape[0])
+    return _det(tz) if k == 0 else _table_sum(_minor_table(tz, rows, cols, k), delta)
 
 
 @dataclass(frozen=True)
@@ -174,25 +177,34 @@ def _log_ratio(value: float, log_norm: float) -> float:
     return math.exp(math.log(value) - log_norm)
 
 
-def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
-    """Expansion-term magnitudes of det(T_N(z) + Delta) relative to the
-    limiting scale, for z in an open region (boundary z rejected)."""
+def _region_scale(s: Symbol, z: complex) -> tuple[int, int, float]:
+    """(region order, d0, log-potential) at z from one root solve; boundary z rejected."""
     prof = root_profile(s, z)
     label = _region_order(s, prof)
     if label == BOUNDARY:
         raise ValueError("z lies on the region boundary; dominance is undefined")
-    delta = as_matrix(delta)
-    n = delta.shape[0]
-    log_norm = n * _log_potential(s, prof)
-    p_values = [corner_pk(s, z, delta, k) for k in range(s.d + 1)]
+    return int(label), prof.d0, _log_potential(s, prof)
+
+
+def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> tuple[complex, list]:
+    """P_0 = det T_N(z) and the k = 1..d minor tables: what draws on one support share."""
+    tz = build_z(s, z, n)
+    return _det(tz), [_minor_table(tz, rows, cols, k) for k in range(1, s.d + 1)]
+
+
+def _report(scale, n: int, p0: complex, tables, delta: np.ndarray) -> DominanceReport:
+    """The report on one draw ``delta`` from ``_region_scale`` and ``_corner_tables``."""
+    label, d0, log_pot = scale
+    log_norm = n * log_pot
+    p_values = [p0] + [_table_sum(table, delta) for table in tables]
     p_abs = [abs(p) for p in p_values]
-    ad = abs(int(label))
+    ad = abs(label)
     above = sum(p_abs[ad + 1 :])
     below = sum(p_abs[:ad])
     return DominanceReport(
         n=n,
-        dd=int(label),
-        d0=prof.d0,
+        dd=label,
+        d0=d0,
         p_values=tuple(p_values),
         p_abs=tuple(p_abs),
         log_normalizer=log_norm,
@@ -200,6 +212,18 @@ def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
         ratio_below=_log_ratio(below, log_norm),
         normalized_pd=_log_ratio(p_abs[ad], log_norm),
     )
+
+
+def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
+    """Expansion-term magnitudes of det(T_N(z) + Delta) relative to the
+    limiting scale, for z in an open region (boundary z rejected)."""
+    scale = _region_scale(s, z)
+    delta = as_matrix(delta)
+    if delta.shape[0] != delta.shape[1]:
+        raise ValueError("perturbation must be square")
+    n = delta.shape[0]
+    tables = _corner_tables(s, z, n, *_support(np.argwhere(delta != 0).tolist()))
+    return _report(scale, n, *tables, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ from ._rng import (
     DOMAIN_REPLACE,
     seed_sequence,
 )
-from .expansion import dominance_report
+from .expansion import _corner_tables, _region_scale, _report, _support
 from .linalg import eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals
-from .noise import NoiseModel, _check_corner, corner_delta, sample
+from .noise import NoiseModel, _check_corner, corner_delta, corner_support, sample
 from .symbol import Symbol, region_labels, limit_logpot, classify_region, BOUNDARY, sample_mu_a
 from .toeplitz import build, build_z
 
@@ -160,8 +160,9 @@ class ExperimentConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, data) -> "ExperimentConfig":
+    @staticmethod
+    def fields_of(data) -> dict:
+        """A config's JSON object, parsed if given as text, with no unknown field."""
         if isinstance(data, (str, bytes)):
             try:
                 data = json.loads(data)
@@ -169,9 +170,14 @@ class ExperimentConfig:
                 raise ConfigError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        extra = set(data) - {f.name for f in fields(cls)}
+        extra = set(data) - {f.name for f in fields(ExperimentConfig)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        return data
+
+    @classmethod
+    def from_json(cls, data) -> "ExperimentConfig":
+        data = cls.fields_of(data)
         try:
             return cls(
                 symbol=Symbol.from_json(data["symbol"]),
@@ -279,25 +285,11 @@ class RunArtifact:
                         f.write(_dumps(rec) + "\n")
             else:
                 p = outdir / f"{self.kind}.csv"
-                _write_csv(
-                    p,
-                    tuple(self.records[0].keys()),
-                    [
-                        tuple(_csv_cell(rec[k]) for k in self.records[0].keys())
-                        for rec in self.records
-                    ],
-                )
+                _write_dict_rows(p, self.records)
             written.append(p)
         if self.summary:
             p = outdir / f"{self.kind}_summary.csv"
-            _write_csv(
-                p,
-                tuple(self.summary[0].keys()),
-                [
-                    tuple(_csv_cell(row[k]) for k in self.summary[0].keys())
-                    for row in self.summary
-                ],
-            )
+            _write_dict_rows(p, self.summary)
             written.append(p)
         for name, (header, rows) in self.tables.items():
             p = outdir / f"{self.kind}_{name}.csv"
@@ -322,6 +314,11 @@ def _write_csv(path: Path, header, rows) -> None:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_dict_rows(path: Path, rows: list[dict]) -> None:
+    header = tuple(rows[0].keys())
+    _write_csv(path, header, [tuple(_csv_cell(row[k]) for k in header) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +749,13 @@ def run_expansion(
     one random corner perturbation Delta (decay N^{-gamma_star}) per draw."""
     inputs = _expansion_inputs(s, z, sizes, draws, gamma_star, seed)
     z, sizes = complex(*inputs["z"]), inputs["sizes"]
+    scale = _region_scale(s, z)
     records = []
     for n in sizes:
+        tables = _corner_tables(s, z, n, *_support(corner_support(n, s.d1, s.d2)))
         for t in range(draws):
             delta = corner_delta(s, n, gamma_star, seed_sequence(seed, DOMAIN_CORNER, n, t))
-            rep = dominance_report(s, z, delta)
+            rep = _report(scale, n, *tables, delta)
             records.append(
                 {
                     "n": n,

@@ -338,6 +338,40 @@ def test_regions_rejects_seed(tmp_path, capsys):
         assert not out.exists()
 
 
+REGION_GRID = {"rect": [-1, 1, -1, 1], "resolution": 3}
+REGION_FLAGS = ["--symbol", json.dumps(QUAD_JSON), "--rect=-1,1,-1,1", "--resolution", "3"]
+
+
+def test_regions_config_reads_only_symbol_and_grid(tmp_path, capsys):
+    # The map uses symbol, z_grid and outputs; a config that carries only
+    # those, or other fields no region map reads, must not fail on them.
+    minimal = json.dumps({"symbol": QUAD_JSON, "z_grid": REGION_GRID})
+    assert main(["regions", "--config", minimal, "--dry-run"]) == 0
+    plan_hash, echo = dry_run_plan(capsys)
+    assert main(["regions", *REGION_FLAGS, "--dry-run"]) == 0
+    assert dry_run_plan(capsys) == (plan_hash, echo)
+    corner = {"kind": "corner_delta", "gamma_star": 3.0}
+    cfg = str(write_config(tmp_path, sizes=[1], noise=corner, z_grid=REGION_GRID))
+    out = tmp_path / "out"
+    assert main(["regions", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "regions_meta.json").read_text())
+    assert meta["config_hash"] == plan_hash
+
+
+def test_regions_config_applies_set_and_rejects_unknown_fields(tmp_path, capsys):
+    cfg = str(write_config(tmp_path, z_grid=REGION_GRID))
+    assert main(["regions", "--config", cfg, "--set", "z_grid.resolution=4", "--dry-run"]) == 0
+    plan_hash, _ = dry_run_plan(capsys)
+    flags = [*REGION_FLAGS[:-1], "4", "--dry-run"]
+    assert main(["regions", *flags]) == 0
+    assert dry_run_plan(capsys)[0] == plan_hash
+    assert main(["regions", "--config", cfg, "--set", "colour=red", "--dry-run"]) == 2
+    assert "unknown config fields" in capsys.readouterr().err
+    no_symbol = json.dumps({"z_grid": REGION_GRID})
+    assert main(["regions", "--config", no_symbol, "--dry-run"]) == 2
+    assert "symbol" in capsys.readouterr().err
+
+
 CORNER_NOISE = {"kind": "corner_delta", "gamma_star": 1.0}
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import toepspec
-from toepspec import harness
+from toepspec import expansion, harness, symbol
+from toepspec._rng import DOMAIN_CORNER, seed_sequence
 from conftest import random_complex
 from toepspec import (
     BOUNDARY,
@@ -19,6 +20,8 @@ from toepspec import (
     NoiseModel,
     Symbol,
     ZGrid,
+    corner_delta,
+    dominance_report,
     energy_distance,
     interval_mass_check,
     ks_distance,
@@ -389,6 +392,83 @@ def test_run_expansion_records_and_inputs(quad):
     assert art.seed == 5
     assert art.inputs["gamma_star"] == 3.0 and art.inputs["z"] == [3.0, 0.0]
     assert run_expansion(quad, 3.0, [6, 8], 2, 3.0, 6).config_hash != art.config_hash
+
+
+# QUAD in each of its three regions, and a d1 = d2 = 1 symbol 0.5/lam + 2 lam
+# inside and outside its ellipse.
+EXPANSION_CASES = [
+    ((0.0, 1.0, 1.0), 2, 0, 3.0),
+    ((0.0, 1.0, 1.0), 2, 0, 1.0),
+    ((0.0, 1.0, 1.0), 2, 0, -0.1),
+    ((0.5, 0.0, 2.0), 1, 1, 0.3 + 0.2j),
+    ((0.5, 0.0, 2.0), 1, 1, 4.0),
+]
+
+
+@pytest.mark.parametrize("coeffs, d1, d2, z", EXPANSION_CASES)
+def test_run_expansion_records_equal_dominance_report_per_draw(coeffs, d1, d2, z):
+    # The run shares roots and T_N(z) minors across draws; each record must
+    # still be exactly what the public per-draw report gives.
+    s = Symbol(coeffs, d1, d2)
+    sizes, draws, gamma_star, seed = [5, 8, 11], 3, s.d + 1.0, 17
+    want = []
+    for n in sizes:
+        for t in range(draws):
+            delta = corner_delta(s, n, gamma_star, seed_sequence(seed, DOMAIN_CORNER, n, t))
+            rep = dominance_report(s, z, delta)
+            want.append(
+                {
+                    "n": n,
+                    "draw": t,
+                    "region_order": rep.dd,
+                    "d0": rep.d0,
+                    "ratio_above": rep.ratio_above,
+                    "ratio_below": rep.ratio_below,
+                    "normalized_pd": rep.normalized_pd,
+                    "p_abs": list(rep.p_abs),
+                }
+            )
+    assert run_expansion(s, z, sizes, draws, gamma_star, seed).records == want
+
+
+def spy(monkeypatch, calls, name, *modules):
+    """Record the first argument of every call to ``name`` in ``modules``."""
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("sizes, draws", [([6], 1), ([6, 9, 12], 1), ([6, 9, 12], 7)])
+def test_run_expansion_solves_roots_at_most_twice(quad, monkeypatch, sizes, draws):
+    # Once in the input step's boundary check, once for the run's scale.
+    calls = []
+    spy(monkeypatch, calls, "root_profile", symbol, expansion)
+    run_expansion(quad, -0.1, sizes, draws, 3.0, 5)
+    assert 1 <= len(calls) <= 2
+
+
+def test_run_expansion_factors_each_minor_once_per_size(quad, monkeypatch):
+    # QUAD's corner support has rows {n-2, n-1} and columns {0, 1}: P_0 is
+    # one order-n det, P_1's table 2 x 2 order-(n-1) minors and P_2's table
+    # one order-(n-2) minor, whatever the number of draws.
+    orders = {}
+    for draws in (1, 6):
+        calls = []
+        spy(monkeypatch, calls, "lu_logdet", expansion)
+        run_expansion(quad, 1.0, [6, 10], draws, 3.0, 5)
+        monkeypatch.undo()
+        orders[draws] = [len(m) for m in calls]
+    for draws, seen in orders.items():
+        for n in (6, 10):
+            assert [seen.count(n - k) for k in range(3)] == [1, 4, 1], (draws, n)
+        # Every other factorization is a draw's own k x k corner determinant.
+        assert sorted(set(seen) - {4, 5, 6, 8, 9, 10}) == [1, 2]
+        assert seen.count(1) + seen.count(2) == draws * 2 * (4 + 1)
 
 
 @pytest.mark.parametrize(

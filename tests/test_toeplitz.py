@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex
+from conftest import random_complex, random_symbol_and_zs
 from toepspec import (
     ShiftSpec,
     Symbol,
@@ -237,18 +237,6 @@ def test_widom_sum_complex_coefficients(rng):
 
 # ---------------------------------------------------------------------------
 # Random-symbol oracles
-
-
-def random_symbol_and_zs(d1, d2, seed):
-    """A seeded random symbol (complex coefficients) and 4 z values drawn
-    uniformly from its curve's bounding box widened by 0.5."""
-    g = np.random.default_rng(seed)
-    coeffs = g.standard_normal(d1 + d2 + 1) + 1j * g.standard_normal(d1 + d2 + 1)
-    s = Symbol(tuple(coeffs), d1, d2)
-    curve = s.curve(256)
-    re = g.uniform(curve.real.min() - 0.5, curve.real.max() + 0.5, 4)
-    im = g.uniform(curve.imag.min() - 0.5, curve.imag.max() + 0.5, 4)
-    return s, [complex(z) for z in re + 1j * im]
 
 
 RANDOM_SYMBOLS = given(
