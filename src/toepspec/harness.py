@@ -227,17 +227,17 @@ class RunArtifact:
     """Results of one experiment run.
 
     ``records`` are per-cell dicts (JSON-safe values only), ``summary`` is a
-    list of aggregate rows, ``tables`` maps name -> (header, rows) for extra
-    CSVs, ``svgs`` maps name -> markup.  ``inputs`` is the JSON echo of
-    everything the run computed from; the config hash and the seed are read
-    from it.
+    list of aggregate rows, ``tables`` maps name -> CSV text (header line
+    included, ``\r\n`` line ends) for extra CSVs, written verbatim, ``svgs``
+    maps name -> markup.  ``inputs`` is the JSON echo of everything the run
+    computed from; the config hash and the seed are read from it.
     """
 
     kind: str
     inputs: dict
     records: list[dict] = field(default_factory=list)
     summary: list[dict] = field(default_factory=list)
-    tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
+    tables: dict[str, str] = field(default_factory=dict)
     svgs: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -280,20 +280,15 @@ class RunArtifact:
         if self.records:
             if fmt == "jsonl":
                 p = outdir / f"{self.kind}.jsonl"
-                with open(p, "w") as f:
-                    for rec in self.records:
-                        f.write(_dumps(rec) + "\n")
+                p.write_text("".join(_dumps(rec) + "\n" for rec in self.records))
             else:
                 p = outdir / f"{self.kind}.csv"
-                _write_dict_rows(p, self.records)
+                p.write_text(_dict_rows_text(self.records), newline="")
             written.append(p)
-        if self.summary:
-            p = outdir / f"{self.kind}_summary.csv"
-            _write_dict_rows(p, self.summary)
-            written.append(p)
-        for name, (header, rows) in self.tables.items():
+        texts = {"summary": _dict_rows_text(self.summary)} if self.summary else {}
+        for name, text in {**texts, **self.tables}.items():
             p = outdir / f"{self.kind}_{name}.csv"
-            _write_csv(p, header, rows)
+            p.write_text(text, newline="")
             written.append(p)
         if svg:
             for name, markup in self.svgs.items():
@@ -309,16 +304,18 @@ def _csv_cell(v):
     return v
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+def _csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text, as ``csv.writer`` renders them."""
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
-def _write_dict_rows(path: Path, rows: list[dict]) -> None:
+def _dict_rows_text(rows: list[dict]) -> str:
     header = tuple(rows[0].keys())
-    _write_csv(path, header, [tuple(_csv_cell(row[k]) for k in header) for row in rows])
+    return _csv_text(header, [tuple(_csv_cell(row[k]) for k in header) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +533,24 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     dd, bmask = region_labels(s, zs)
     dd = dd.reshape(resolution, resolution)
     bmask = bmask.reshape(resolution, resolution)
-    re_text = [repr(float(x)) for x in xs]
-    rows = []
-    counts: dict[int | str, int] = {}
-    for y, dd_row, b_row in zip(ys, dd.tolist(), bmask.tolist()):
-        im_text = repr(float(y))
-        for re, label, on_boundary in zip(re_text, dd_row, b_row):
-            if on_boundary:
-                label = "boundary"
-            rows.append((re, im_text, label))
-            counts[label] = counts.get(label, 0) + 1
+    # Node codes: order + d2 for orders -d2..d1, d + 1 for boundary.
+    names = [str(k) for k in range(-s.d2, s.d1 + 1)] + ["boundary"]
+    codes = np.where(bmask, s.d + 1, dd + s.d2)
+    counts = np.bincount(codes.ravel(), minlength=len(names)).tolist()
     summary = [
         {"label": k, "nodes": v, "fraction": v / (resolution * resolution)}
-        for k, v in sorted((str(k), v) for k, v in counts.items())
+        for k, v in sorted(zip(names, counts))
+        if v
     ]
+    # csv.writer would quote none of these fields, so the rows are joined by
+    # hand: each x column's "re," and each label's "im,label" ending once.
+    re_text = [repr(float(x)) + "," for x in xs]
+    lines = ["re,im,label\r\n"]
+    for y, row in zip(ys, codes.tolist()):
+        ends = [f"{float(y)!r},{k}\r\n" for k in names]
+        lines.append("".join(map(str.__add__, re_text, map(ends.__getitem__, row))))
     art = RunArtifact("regions", inputs, [], summary)
-    art.tables["grid"] = (("re", "im", "label"), rows)
+    art.tables["grid"] = "".join(lines)
     art.svgs["map"] = _svg.region_svg(
         xs, ys, dd, bmask, s.d1, s.d, f"region orders d1={s.d1} d2={s.d2}"
     )
@@ -715,7 +714,7 @@ def run_replacement(
     edges = np.linspace(0.0, hi, 51)
     ha, _ = np.histogram(flat_a, bins=edges)
     hb, _ = np.histogram(flat_b, bins=edges)
-    art.tables["singval_hist"] = (
+    art.tables["singval_hist"] = _csv_text(
         ("bin_left", "bin_right", "count_a", "count_b"),
         [
             (repr(float(edges[i])), repr(float(edges[i + 1])), int(ha[i]), int(hb[i]))

@@ -1,6 +1,7 @@
 """Experiment configuration, statistics helpers, runners, artifact output."""
 
 import csv
+import io
 import json
 import math
 import platform
@@ -305,14 +306,59 @@ def test_run_esd_reports_nonconvergence(quad, monkeypatch, tmp_path):
 
 def test_run_region_map_counts(quad):
     art = run_region_map(quad, (-2.5, 3.5, -3.0, 3.0), 9)
-    header, rows = art.tables["grid"]
-    assert header == ("re", "im", "label")
+    header, *rows = csv.reader(io.StringIO(art.tables["grid"]))
+    assert header == ["re", "im", "label"]
     assert len(rows) == 81
     total = sum(row["nodes"] for row in art.summary)
     assert total == 81
     labels = {row["label"] for row in art.summary}
     assert labels <= {"0", "1", "2", "boundary"}
     assert art.svgs["map"].lstrip().startswith("<svg")
+
+
+ELLIPSE = Symbol((1.0, 0.0, 0.5), 1, 1)  # lam^{-1} + lam/2: order -1 inside
+
+
+@pytest.mark.parametrize(
+    "s, rect, resolution, labels",
+    [
+        (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0), 9, ["0", "1", "2", "boundary"]),
+        # Nodes at +-1.5 on the real axis sit on the curve; no node has order 1.
+        (ELLIPSE, (-1.5, 1.5, -1.0, 1.0), 9, ["-1", "0", "boundary"]),
+        # QUAD away from its order-2 loop: "2" has no node and no row.
+        (Symbol((0.0, 1.0, 1.0), 2, 0), (1.0, 3.0, -1.0, 1.0), 5, ["0", "1", "boundary"]),
+        (ELLIPSE, (2.0, 3.0, -1.0, 1.0), 5, ["0"]),
+        # Labels sort as strings: "-1" before "-2".
+        (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), 9, ["-1", "-2", "0", "boundary"]),
+    ],
+)
+def test_region_map_csv_bytes_match_csv_writer(s, rect, resolution, labels, tmp_path):
+    """The hand-joined grid and the summary are the bytes csv.writer writes
+    for (repr(re), repr(im), label) rows built node by node."""
+    run_region_map(s, rect, resolution).write(tmp_path, svg=False)
+    xs = np.linspace(rect[0], rect[1], resolution)
+    ys = np.linspace(rect[2], rect[3], resolution)
+    zs = [complex(x, y) for y in ys for x in xs]
+    dd, bmask = symbol.region_labels(s, zs)
+    rows = [
+        (repr(z.real), repr(z.imag), "boundary" if b else int(d))
+        for z, d, b in zip(zs, dd.tolist(), bmask.tolist())
+    ]
+    counts = {}
+    for row in rows:
+        counts[str(row[2])] = counts.get(str(row[2]), 0) + 1
+    assert sorted(counts) == labels
+    summary = [(k, counts[k], counts[k] / len(zs)) for k in labels]
+    for name, header, body in [
+        ("grid", ("re", "im", "label"), rows),
+        ("summary", ("label", "nodes", "fraction"), summary),
+    ]:
+        with open(tmp_path / f"expected_{name}.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(body)
+        expected = (tmp_path / f"expected_{name}.csv").read_bytes()
+        assert (tmp_path / f"regions_{name}.csv").read_bytes() == expected
 
 
 def test_run_region_map_validation(quad):
@@ -369,8 +415,8 @@ def test_run_replacement_two_ensembles(quad):
     row = art.summary[0]
     assert row["bounds_ok"]  # deterministic resolvent inequality
     assert 0.0 <= row["ks_distance"] <= 1.0
-    header, rows = art.tables["singval_hist"]
-    assert header == ("bin_left", "bin_right", "count_a", "count_b")
+    header, *rows = csv.reader(io.StringIO(art.tables["singval_hist"]))
+    assert header == ["bin_left", "bin_right", "count_a", "count_b"]
     assert len(rows) == 50
     assert sum(int(r[2]) for r in rows) == 2 * 24
 
