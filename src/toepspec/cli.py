@@ -288,10 +288,7 @@ def main(argv=None) -> int:
         if getattr(args, "set", None) and not getattr(args, "config", None):
             raise ConfigError("--set overrides a config field and needs --config")
         return args.func(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

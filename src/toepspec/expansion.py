@@ -15,8 +15,8 @@ from itertools import combinations
 import numpy as np
 
 from ._rng import generator
-from .linalg import as_matrix, lu_logdet
-from .symbol import BOUNDARY, Symbol, _log_potential, _region_order, root_profile
+from .linalg import as_matrix, lu_det
+from .symbol import Symbol, _log_potential, root_profile
 from .toeplitz import build_z
 
 __all__ = [
@@ -33,6 +33,14 @@ __all__ = [
 
 _BOUND_BASE = 8.0 * math.e
 
+# The index-set enumerations are combinatorial, so det_sum_decomposition takes
+# matrices of order at most this and the corner terms a perturbation with at
+# most this many nonzero rows and columns.
+_GUARD = 12
+
+# Normal quantile of the 95% Wilson interval.
+_Z95 = 1.96
+
 
 def perm_sign(x, n: int) -> int:
     """Sign of the permutation moving the sorted index set ``x`` to the front
@@ -46,18 +54,14 @@ def perm_sign(x, n: int) -> int:
     return -1 if inv % 2 else 1
 
 
-def _det(m: np.ndarray) -> complex:
-    return lu_logdet(m).det
-
-
-def _support(pairs, max_support: int = 12) -> tuple[list, list]:
+def _support(pairs) -> tuple[list, list]:
     """Sorted rows and columns of (row, col) pairs, guarded against a large enumeration."""
     rows = sorted({i for i, _ in pairs})
     cols = sorted({j for _, j in pairs})
-    if max(len(rows), len(cols)) > max_support:
+    if max(len(rows), len(cols)) > _GUARD:
         raise ValueError(
             f"perturbation support too large to enumerate ({len(rows)} rows, "
-            f"{len(cols)} cols; guard is {max_support})"
+            f"{len(cols)} cols; guard is {_GUARD})"
         )
     return rows, cols
 
@@ -68,7 +72,7 @@ def _minor_table(a: np.ndarray, rows, cols, k: int) -> list:
     every = np.arange(n)
     return [
         (x, y, perm_sign(x, n) * perm_sign(y, n)
-         * _det(a[np.ix_(np.delete(every, x), np.delete(every, y))]))
+         * lu_det(a[np.ix_(np.delete(every, x), np.delete(every, y))]))
         for x in combinations(rows, k) for y in combinations(cols, k)
     ]
 
@@ -77,13 +81,13 @@ def _table_sum(table, b: np.ndarray) -> complex:
     """sum over the table of its signed minor times det(B[X, Y]), skipping exact zeros."""
     total = 0j
     for x, y, minor in table:
-        db = _det(b[np.ix_(x, y)])
+        db = lu_det(b[np.ix_(x, y)])
         if db != 0:
             total += minor * db
     return total
 
 
-def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
+def det_sum_decomposition(a, b) -> complex:
     """det(A + B) expanded over index-set pairs:
 
         sum_{X, Y, |X|=|Y|=k} sign(X) sign(Y) det(A[X^c, Y^c]) det(B[X, Y]).
@@ -96,9 +100,9 @@ def det_sum_decomposition(a, b, max_n: int = 12) -> complex:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("A and B must be square matrices of equal size")
     n = a.shape[0]
-    if n > max_n:
-        raise ValueError(f"decomposition guarded to n <= {max_n}, got {n}")
-    rows, cols = _support(np.argwhere(b != 0).tolist(), max_support=n)
+    if n > _GUARD:
+        raise ValueError(f"decomposition guarded to n <= {_GUARD}, got {n}")
+    rows, cols = _support(np.argwhere(b != 0).tolist())
     ks = range(min(len(rows), len(cols)) + 1)
     return complex(sum(_table_sum(_minor_table(a, rows, cols, k), b) for k in ks))
 
@@ -132,7 +136,7 @@ def bidiag_subdet(zfrak: complex, x, y, n: int) -> complex:
     return zfrak**expo
 
 
-def corner_pk(s: Symbol, z: complex, delta, k: int, max_support: int = 12) -> complex:
+def corner_pk(s: Symbol, z: complex, delta, k: int) -> complex:
     """k-th term of det(T_N(z) + Delta) expanded in the perturbation:
 
         P_k = sum_{|X|=|Y|=k} sign(X) sign(Y) det(T_N(z)[X^c, Y^c]) det(Delta[X, Y]),
@@ -145,9 +149,9 @@ def corner_pk(s: Symbol, z: complex, delta, k: int, max_support: int = 12) -> co
         raise ValueError("perturbation must be square")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows, cols = _support(np.argwhere(delta != 0).tolist(), max_support)
+    rows, cols = _support(np.argwhere(delta != 0).tolist())
     tz = build_z(s, z, delta.shape[0])
-    return _det(tz) if k == 0 else _table_sum(_minor_table(tz, rows, cols, k), delta)
+    return lu_det(tz) if k == 0 else _table_sum(_minor_table(tz, rows, cols, k), delta)
 
 
 @dataclass(frozen=True)
@@ -180,16 +184,15 @@ def _log_ratio(value: float, log_norm: float) -> float:
 def _region_scale(s: Symbol, z: complex) -> tuple[int, int, float]:
     """(region order, d0, log-potential) at z from one root solve; boundary z rejected."""
     prof = root_profile(s, z)
-    label = _region_order(s, prof)
-    if label == BOUNDARY:
+    if prof.boundary:
         raise ValueError("z lies on the region boundary; dominance is undefined")
-    return int(label), prof.d0, _log_potential(s, prof)
+    return prof.dd, prof.d0, _log_potential(s, prof)
 
 
 def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> tuple[complex, list]:
     """P_0 = det T_N(z) and the k = 1..d minor tables: what draws on one support share."""
     tz = build_z(s, z, n)
-    return _det(tz), [_minor_table(tz, rows, cols, k) for k in range(1, s.d + 1)]
+    return lu_det(tz), [_minor_table(tz, rows, cols, k) for k in range(1, s.d + 1)]
 
 
 def _report(scale, n: int, p0: complex, tables, delta: np.ndarray) -> DominanceReport:
@@ -247,15 +250,15 @@ class AntiConcTable:
     rows: tuple[AntiConcRow, ...]
 
 
-def _wilson(successes: int, trials: int, zcrit: float = 1.96) -> tuple[float, float]:
+def _wilson(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
-    z2 = zcrit * zcrit
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = (
-        zcrit
+        _Z95
         * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials))
         / denom
     )

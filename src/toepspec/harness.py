@@ -179,6 +179,7 @@ class ExperimentConfig:
     def from_json(cls, data) -> "ExperimentConfig":
         data = cls.fields_of(data)
         try:
+            defaulted = {k: int(data[k]) for k in ("mu_samples", "seed") if k in data}
             return cls(
                 symbol=Symbol.from_json(data["symbol"]),
                 sizes=tuple(int(n) for n in data["sizes"]),
@@ -186,9 +187,8 @@ class ExperimentConfig:
                 noise=NoiseModel.from_json(data["noise"]),
                 trials=int(data["trials"]),
                 z_grid=ZGrid.from_json(data["z_grid"]),
-                mu_samples=int(data.get("mu_samples", 10000)),
-                seed=int(data.get("seed", 0)),
                 outputs=data.get("outputs"),
+                **defaulted,
             )
         except KeyError as exc:
             raise ConfigError(f"config missing field: {exc}") from exc
@@ -332,16 +332,9 @@ def thread_count() -> int:
 
 
 def _run_cells(cells, fn):
-    """Map fn over cells, in parallel if configured; order preserved."""
-    workers = thread_count()
-    if workers == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    results = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = {ex.submit(fn, c): i for i, c in enumerate(cells)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+    """Map fn over cells on a pool of thread_count() threads; order preserved."""
+    with ThreadPoolExecutor(thread_count()) as ex:
+        return list(ex.map(fn, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +532,7 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     counts = np.bincount(codes.ravel(), minlength=len(names)).tolist()
     summary = [
         {"label": k, "nodes": v, "fraction": v / (resolution * resolution)}
-        for k, v in sorted(zip(names, counts))
+        for k, v in zip(names, counts)
         if v
     ]
     # csv.writer would quote none of these fields, so the rows are joined by

@@ -37,6 +37,9 @@ KINDS = (
     "corner_delta",
 )
 
+# smin_tail_check reports the share of trials with smin below N^{-beta}.
+_TAIL_BETAS = (1.0, 2.0, 4.0)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -178,11 +181,9 @@ class SminTailReport:
     smins: np.ndarray
 
 
-def smin_tail_check(
-    model: NoiseModel, m, trials: int, seed, betas=(1.0, 2.0, 4.0)
-) -> SminTailReport:
+def smin_tail_check(model: NoiseModel, m, trials: int, seed) -> SminTailReport:
     """Sample smin(E + M) over independent draws and report the fraction of
-    trials falling below N^{-beta} for each requested beta.
+    trials falling below N^{-beta} for each beta in _TAIL_BETAS.
 
     ``m`` is the deterministic centering (often a shifted Toeplitz matrix);
     the raw smin values are returned so callers can test other thresholds.
@@ -198,13 +199,11 @@ def smin_tail_check(
     for t in range(trials):
         e = sample(model, n, seed_sequence(root, t))
         smins[t] = smin(e + m)
-    fractions = {
-        float(b): float((smins < float(n) ** (-float(b))).mean()) for b in betas
-    }
+    fractions = {b: float((smins < float(n) ** -b).mean()) for b in _TAIL_BETAS}
     return SminTailReport(
         n=n,
         trials=trials,
-        betas=tuple(float(b) for b in betas),
+        betas=_TAIL_BETAS,
         fractions=fractions,
         smins=smins,
     )

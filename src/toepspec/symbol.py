@@ -41,7 +41,8 @@ __all__ = [
 #: Region label for z indistinguishable from the symbol curve at tolerance.
 BOUNDARY = "boundary"
 
-#: Default tolerance for "modulus on the unit circle".
+#: A root modulus in [1 - TOL_BOUNDARY, 1 + TOL_BOUNDARY] counts as on the
+#: unit circle, which makes z a BOUNDARY point.
 TOL_BOUNDARY = 1e-9
 
 #: Two roots closer than this are flagged as numerically inseparable.
@@ -50,6 +51,11 @@ TOL_DOUBLE = 1e-7
 # region_labels solves its grid in blocks of this many rows, which bounds the
 # (rows, d, d) temporaries of the Aberth step; results do not depend on it.
 _ROOT_BLOCK = 8192
+
+# Aberth iteration cap, and the relative residual at which a root counts as
+# done: |p(x)| <= _TOL_RESIDUAL * sum |c_l| |x|^l.
+_MAX_ITER = 200
+_TOL_RESIDUAL = 1e-12
 
 
 class RootFindingError(RuntimeError):
@@ -153,8 +159,8 @@ class RootProfile:
 
     ``roots`` are sorted by nonincreasing modulus, ties broken by descending
     real then imaginary part.  ``d0`` counts moduli >= 1, ``dd = d1 - d0`` is
-    the region order, ``boundary`` marks a modulus within tolerance of 1, and
-    ``near_double`` flags a root pair closer than ``TOL_DOUBLE``.
+    the region order, ``boundary`` marks a modulus within ``TOL_BOUNDARY`` of
+    1, and ``near_double`` flags a root pair closer than ``TOL_DOUBLE``.
     """
 
     z: complex
@@ -212,7 +218,7 @@ def _aberth_step(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
         return ratio / (1.0 - ratio * ssum)
 
 
-def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
+def _aberth_batch(c: np.ndarray):
     """Simultaneous roots for a batch of same-degree polynomials.
 
     Requires nonzero leading AND constant coefficients in every row (zero
@@ -228,10 +234,10 @@ def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
     x = r0[:, None] * np.exp(1j * angles)[None, :]
     done = np.zeros((b, deg), dtype=bool)
     live = np.arange(b)  # rows with a root not yet done
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         xl = x[live]
         p, dp, sc = _horner_all(c[live], xl)
-        dl = done[live] | (np.abs(p) <= tol * np.maximum(sc, 1e-300))
+        dl = done[live] | (np.abs(p) <= _TOL_RESIDUAL * np.maximum(sc, 1e-300))
         done[live] = dl
         keep = ~dl.all(axis=1)
         if not keep.any():
@@ -244,8 +250,8 @@ def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
             step = np.where(bad, (0.01 + 0.02j) * (1.0 + np.abs(xl)), step)
         x[live] = np.where(dl, xl, xl - step)
     # Polish sweeps, applied to every row: the residual test above lets a
-    # multiple root freeze while still ~sqrt(tol) away (its residual is
-    # quadratic in the distance), which would leave an exact double root
+    # multiple root freeze while still ~sqrt(_TOL_RESIDUAL) away (its residual
+    # is quadratic in the distance), which would leave an exact double root
     # looking like two points 1e-6 apart.  Each sweep contracts a straddling
     # pair by ~1/3, so a few of them reach the attainable floor.  A sweep is
     # a pure function of (c, x), so a row whose x comes out bit-identical is
@@ -261,11 +267,11 @@ def _aberth_batch(c: np.ndarray, max_iter: int, tol: float):
         if moving.size == 0:
             break
     p, _, sc = _horner_all(c, x)
-    ok = (np.abs(p) <= 10.0 * tol * np.maximum(sc, 1e-300)) | done
+    ok = (np.abs(p) <= 10.0 * _TOL_RESIDUAL * np.maximum(sc, 1e-300)) | done
     return x, ok.all(axis=1)
 
 
-def aberth_roots(coeffs, max_iter: int = 200, tol: float = 1e-12) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial (ascending coefficients).
 
     Exact zero roots are deflated first; the remainder is found by the
@@ -287,10 +293,10 @@ def aberth_roots(coeffs, max_iter: int = 200, tol: float = 1e-12) -> np.ndarray:
         return zero_part
     if deg == 1:
         return np.concatenate([[-work[0] / work[1]], zero_part])
-    roots, ok = _aberth_batch(work[np.newaxis, :], max_iter, tol)
+    roots, ok = _aberth_batch(work[np.newaxis, :])
     if not ok[0]:
         raise RootFindingError(
-            f"root iteration did not converge in {max_iter} steps"
+            f"root iteration did not converge in {_MAX_ITER} steps"
         )
     return np.concatenate([roots[0], zero_part])
 
@@ -313,13 +319,15 @@ def _sorted_roots(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def root_profile(
-    s: Symbol,
-    z: complex,
-    tol_boundary: float = TOL_BOUNDARY,
-    max_iter: int = 200,
-    tol_residual: float = 1e-12,
-) -> RootProfile:
+def _split(s: Symbol, moduli):
+    """The region order d1 - #{m >= 1} and whether the split is clean (no
+    modulus within TOL_BOUNDARY of 1), over the last axis of ``moduli``."""
+    dd = s.d1 - (moduli >= 1.0).sum(axis=-1)
+    near = (moduli >= 1.0 - TOL_BOUNDARY) & (moduli <= 1.0 + TOL_BOUNDARY)
+    return dd, ~near.any(axis=-1)
+
+
+def root_profile(s: Symbol, z: complex) -> RootProfile:
     """Characteristic roots at z with region bookkeeping.
 
     Raises RootFindingError for the degenerate point z = a_0 of a symbol
@@ -331,10 +339,8 @@ def root_profile(
         raise RootFindingError(
             "characteristic polynomial degenerates at this z (d1 = 0 and z = a_0)"
         )
-    lam = _sorted_roots(-aberth_roots(c, max_iter=max_iter, tol=tol_residual))
-    moduli = np.abs(lam)
-    d0 = int((moduli >= 1.0).sum())
-    boundary = bool(np.min(np.abs(moduli - 1.0)) < tol_boundary)
+    lam = _sorted_roots(-aberth_roots(c))
+    dd, clean = _split(s, np.abs(lam))
     near_double = False
     if lam.size > 1:
         sep = np.abs(lam[:, None] - lam[None, :])
@@ -343,41 +349,26 @@ def root_profile(
     return RootProfile(
         z=z,
         roots=tuple(lam),
-        d0=d0,
-        dd=s.d1 - d0,
-        boundary=boundary,
+        d0=s.d1 - int(dd),
+        dd=int(dd),
+        boundary=not clean,
         near_double=near_double,
     )
 
 
-def classify_region(
-    s: Symbol, z: complex, tol_boundary: float = TOL_BOUNDARY
-) -> int | str:
-    """Region order dd = d1 - d0 at z, or BOUNDARY when the modulus split
-    across the unit circle is not clean at the given tolerance."""
-    return _region_order(s, root_profile(s, z, tol_boundary=tol_boundary), tol_boundary)
+def classify_region(s: Symbol, z: complex) -> int | str:
+    """Region order dd = d1 - d0 at z, or BOUNDARY when a root modulus lies
+    within TOL_BOUNDARY of 1."""
+    prof = root_profile(s, z)
+    return BOUNDARY if prof.boundary else prof.dd
 
 
-def _region_order(
-    s: Symbol, prof: RootProfile, tol_boundary: float = TOL_BOUNDARY
-) -> int | str:
-    """classify_region's verdict from an already computed root profile."""
-    moduli = [abs(r) for r in prof.roots]
-    outer = moduli[prof.d0 - 1] if prof.d0 >= 1 else math.inf
-    inner = moduli[prof.d0] if prof.d0 < s.d else 0.0
-    if outer > 1.0 + tol_boundary and inner < 1.0 - tol_boundary:
-        return prof.dd
-    return BOUNDARY
-
-
-def region_labels(
-    s: Symbol, zs, tol_boundary: float = TOL_BOUNDARY, max_iter: int = 200
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized region classification over an array of z values.
+def region_labels(s: Symbol, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized classify_region over an array of z values.
 
     Returns (dd, boundary_mask); entries under the mask carry no valid order
-    (grid nodes that sit on the curve, too close to it, or where the root
-    iteration failed are all reported as boundary).
+    (grid nodes with a root modulus within TOL_BOUNDARY of 1, or where the
+    root iteration failed, are all reported as boundary).
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     m = zs.size
@@ -390,7 +381,7 @@ def region_labels(
     easy = (cmat[:, -1] != 0) & (cmat[:, 0] != 0)
     for i in np.nonzero(~easy)[0]:
         try:
-            lab = classify_region(s, complex(zs[i]), tol_boundary)
+            lab = classify_region(s, complex(zs[i]))
         except RootFindingError:
             bmask[i] = True
             continue
@@ -401,23 +392,13 @@ def region_labels(
     rows = np.nonzero(easy)[0]
     if rows.size:
         parts = [
-            _aberth_batch(cmat[rows[i : i + _ROOT_BLOCK]], max_iter, 1e-12)
+            _aberth_batch(cmat[rows[i : i + _ROOT_BLOCK]])
             for i in range(0, rows.size, _ROOT_BLOCK)
         ]
         roots = np.concatenate([r for r, _ in parts])
         ok = np.concatenate([o for _, o in parts])
-        moduli = np.sort(np.abs(roots), axis=1)[:, ::-1]
-        d0 = (moduli >= 1.0).sum(axis=1)
-        k = moduli.shape[1]
-        outer = np.where(
-            d0 >= 1, np.take_along_axis(moduli, np.maximum(d0 - 1, 0)[:, None], 1)[:, 0], np.inf
-        )
-        inner = np.where(
-            d0 < k, np.take_along_axis(moduli, np.minimum(d0, k - 1)[:, None], 1)[:, 0], 0.0
-        )
-        clean = ok & (outer > 1.0 + tol_boundary) & (inner < 1.0 - tol_boundary)
-        dd[rows] = s.d1 - d0
-        bmask[rows] = ~clean
+        dd[rows], clean = _split(s, np.abs(roots))
+        bmask[rows] = ~(ok & clean)
     return dd, bmask
 
 

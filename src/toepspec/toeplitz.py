@@ -31,6 +31,9 @@ __all__ = [
     "widom_sum",
 ]
 
+# Trapezoid nodes of moment_rhs's circle average.
+_MOMENT_NODES = 2**14
+
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -159,14 +162,12 @@ def moment_lhs(s: Symbol, z: complex, k: int, n: int) -> float:
     return float(np.vdot(p, p).real) / n
 
 
-def moment_rhs(s: Symbol, z: complex, k: int, nodes: int = 2**14) -> float:
-    """Circle average of |z - a|^{2k} by the periodic trapezoid rule,
-    which is spectrally accurate for this smooth integrand."""
+def moment_rhs(s: Symbol, z: complex, k: int) -> float:
+    """Circle average of |z - a|^{2k} by the periodic trapezoid rule on
+    _MOMENT_NODES nodes, which is spectrally accurate for this smooth integrand."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    if nodes < 8:
-        raise ValueError("need at least 8 quadrature nodes")
-    theta = np.arange(nodes) * (2.0 * np.pi / nodes)
+    theta = np.arange(_MOMENT_NODES) * (2.0 * np.pi / _MOMENT_NODES)
     vals = np.abs(z - s.eval_many(np.exp(1j * theta))) ** (2 * k)
     return float(vals.mean())
 

@@ -5,6 +5,8 @@ degree-2 characteristic polynomials of the two fixture symbols.
 """
 
 import cmath
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toepspec
 from toepspec import _svg, symbol
 from toepspec import (
     BOUNDARY,
@@ -194,17 +197,63 @@ def test_classify_region_frozen(quad):
     assert classify_region(quad, -0.1) == 2
 
 
-def test_region_labels_match_scalar(quad):
-    xs = np.linspace(-2.5, 3.5, 7)
-    ys = np.linspace(-3.0, 3.0, 7)
-    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
-    dd, bmask = region_labels(quad, zs)
+@pytest.mark.parametrize(
+    "s, rect, extra",
+    [
+        (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0), []),
+        # lam^{-1} + lam/2: the nodes at +-1.5 on the real axis sit on the curve.
+        (Symbol((1.0, 0.0, 0.5), 1, 1), (-1.5, 1.5, -1.0, 1.0), []),
+        # d1 = 0, d2 = 2: at z = a_0 = 0.2 the polynomial degree collapses.
+        (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), [0.2]),
+        # d2 = 0: z = a_0 = 0.5 gives the zero root of lam^2 + 2 lam.
+        (Symbol((0.5, 2.0, 1.0), 2, 0), (-1.0, 4.0, -2.5, 2.5), [0.5]),
+    ],
+    ids=["quad", "ellipse", "degree_collapse", "zero_root"],
+)
+def test_region_labels_match_scalar(s, rect, extra):
+    xs = np.linspace(rect[0], rect[1], 7)
+    ys = np.linspace(rect[2], rect[3], 7)
+    zs = np.concatenate([(xs[None, :] + 1j * ys[:, None]).ravel(), extra])
+    dd, bmask = region_labels(s, zs)
     for z, d, b in zip(zs, dd, bmask):
-        want = classify_region(quad, complex(z))
-        if b:
-            assert want == BOUNDARY
-        else:
-            assert want == d
+        try:
+            prof = root_profile(s, complex(z))
+        except RootFindingError:
+            assert b
+            with pytest.raises(RootFindingError):
+                classify_region(s, complex(z))
+            continue
+        want = classify_region(s, complex(z))
+        assert prof.boundary == b == (want == BOUNDARY), z
+        if not b:
+            assert want == d == prof.dd, z
+
+
+def test_split_matches_outer_inner_rule():
+    # Reference: on moduli sorted in nonincreasing order, the smallest modulus
+    # >= 1 must exceed 1 + TOL_BOUNDARY and the largest one < 1 must fall
+    # below 1 - TOL_BOUNDARY.
+    tol = symbol.TOL_BOUNDARY
+
+    def reference(d1, moduli):
+        m = sorted(moduli, reverse=True)
+        d0 = sum(v >= 1.0 for v in m)
+        outer = m[d0 - 1] if d0 >= 1 else math.inf
+        inner = m[d0] if d0 < len(m) else 0.0
+        return d1 - d0, outer > 1.0 + tol and inner < 1.0 - tol
+
+    edges = [1.0 - tol, 1.0, 1.0 + tol]
+    probes = edges + [np.nextafter(e, v) for e in edges for v in (0.0, 2.0)] + [0.0, 0.5, 2.0]
+    s = Symbol((0.3, 1.0, 1.0), 1, 1)
+    rows = np.array(list(itertools.product(probes, repeat=2)))
+    dd, clean = symbol._split(s, rows)
+    for row, got_dd, got_clean in zip(rows.tolist(), dd, clean):
+        assert (got_dd, got_clean) == reference(s.d1, row), row
+    # Alone, a modulus in the closed band [1 - tol, 1 + tol] is not clean and
+    # one ulp outside it is.
+    assert [bool(symbol._split(s, np.array([v]))[1]) for v in sorted(probes)] == [
+        True, True, True, False, False, False, False, False, False, False, True, True
+    ]
 
 
 def test_region_labels_flags_curve_points(quad):
@@ -226,8 +275,8 @@ def _stacked_batches(rng):
 
 def test_aberth_batch_rows_are_independent(rng):
     for c in _stacked_batches(rng):
-        roots, ok = symbol._aberth_batch(c, 200, 1e-12)
-        singles = [symbol._aberth_batch(row[None, :], 200, 1e-12) for row in c]
+        roots, ok = symbol._aberth_batch(c)
+        singles = [symbol._aberth_batch(row[None, :]) for row in c]
         assert np.array_equal(roots, np.vstack([r for r, _ in singles]))
         assert np.array_equal(ok, np.concatenate([o for _, o in singles]))
         assert ok.all()
@@ -241,9 +290,9 @@ def test_region_labels_blocks_do_not_change_labels(quad, monkeypatch):
     batch_rows = []
     real_batch = symbol._aberth_batch
 
-    def counting_batch(c, max_iter, tol):
+    def counting_batch(c):
         batch_rows.append(c.shape[0])
-        return real_batch(c, max_iter, tol)
+        return real_batch(c)
 
     monkeypatch.setattr(symbol, "_aberth_batch", counting_batch)
     dd, bmask = region_labels(quad, zs)
@@ -380,3 +429,23 @@ def test_sample_mu_a_lands_on_curve(quad):
     curve = quad.curve(4096)
     dist = np.abs(pts[:, None] - curve[None, :]).min(axis=1)
     assert dist.max() < 1e-2
+
+
+# The iteration cap, residual and boundary tolerances, expansion guard,
+# quadrature size and tail exponents are module constants, not parameters.
+REMOVED_PARAMETERS = {
+    "aberth_roots": ("max_iter", "tol"),
+    "root_profile": ("tol_boundary", "max_iter", "tol_residual"),
+    "classify_region": ("tol_boundary",),
+    "region_labels": ("tol_boundary", "max_iter"),
+    "det_sum_decomposition": ("max_n",),
+    "corner_pk": ("max_support",),
+    "moment_rhs": ("nodes",),
+    "smin_tail_check": ("betas",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_PARAMETERS))
+def test_numerical_constants_are_not_parameters(name):
+    params = inspect.signature(getattr(toepspec, name)).parameters
+    assert not set(REMOVED_PARAMETERS[name]) & set(params)
