@@ -9,7 +9,10 @@ characteristic polynomial is
 The d stored root values are the NEGATED roots of P, sorted by nonincreasing
 modulus; the count d0(z) of moduli >= 1 classifies z into open regions
 indexed by the order dd = d1 - d0, with a BOUNDARY label where moduli sit on
-the unit circle (within tolerance).  The limiting log-potential of the
+the unit circle (within tolerance).  By the argument principle dd is also
+the winding number of the curve a(S^1) around z, which is how region_labels
+labels a whole grid: winding numbers off a thin band around the curve, the
+Aberth root iteration on the band.  The limiting log-potential of the
 symbol's curve measure mu_a evaluates in closed form from the same roots.
 """
 
@@ -48,9 +51,14 @@ TOL_BOUNDARY = 1e-9
 #: Two roots closer than this are flagged as numerically inseparable.
 TOL_DOUBLE = 1e-7
 
-# region_labels solves its grid in blocks of this many rows, which bounds the
-# (rows, d, d) temporaries of the Aberth step; results do not depend on it.
+# region_labels solves its band nodes in blocks of this many rows, which
+# bounds the (rows, d, d) temporaries of the Aberth step; results do not
+# depend on it.
 _ROOT_BLOCK = 8192
+
+# Cap on the curve samples region_labels takes for its winding numbers; a
+# coarser polygon only widens the band that goes to the Aberth iteration.
+_MAX_CURVE_SAMPLES = 1 << 16
 
 # Aberth iteration cap, and the relative residual at which a root counts as
 # done: |p(x)| <= _TOL_RESIDUAL * sum |c_l| |x|^l.
@@ -366,16 +374,97 @@ def classify_region(s: Symbol, z: complex) -> int | str:
 def region_labels(s: Symbol, zs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify_region over an array of z values.
 
-    Returns (dd, boundary_mask); entries under the mask carry no valid order
-    (grid nodes with a root modulus within TOL_BOUNDARY of 1, or where the
-    root iteration failed, are all reported as boundary).
+    Returns (dd, boundary_mask); entries under the mask carry no valid order.
+    Off a band around the symbol curve the order is the winding number
+    wind(a(S^1), z), which is exact there and never BOUNDARY.  Band nodes,
+    and nodes z = a_0 (where the polynomial degenerates if d1 = 0 or
+    d2 = 0), take the Aberth route of classify_region: those with a root
+    modulus within TOL_BOUNDARY of 1, or where the root iteration failed,
+    are reported as boundary.  A failed iteration can therefore occur only
+    on the band.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
+    bmask = np.zeros(zs.size, dtype=bool)
+    if zs.size == 0:
+        return np.zeros(0, dtype=int), bmask
+    dd, band = _winding_labels(s, zs)
+    band |= zs == s.coeff(0)
+    dd[band], bmask[band] = _aberth_labels(s, zs[band])
+    return dd, bmask
+
+
+def _winding_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The winding numbers wind(a(S^1), z) = d1 - #{|lam| >= 1} of the
+    nodes ``zs``, and the mask of the band where they are not to be trusted.
+
+    The curve is sampled densely enough that, by the bound
+    M = sum |k| |a_k| on |d a(e^{i theta}) / d theta|, consecutive samples
+    lie at most ``gap`` apart; gap is about a quarter of the grid step a
+    grid over the extent of ``zs`` would have.  Each node's order is the signed count of polygon crossings to its
+    right on its horizontal line.  The straight-line homotopy from the curve
+    to the polygon stays within gap of a sample, and a root within
+    TOL_BOUNDARY of |lam| = 1 puts z within gap / 2 + 2 TOL_BOUNDARY M of
+    one.  So every node farther than ``radius`` from all samples has an
+    exact order that is not BOUNDARY; the band holds all other nodes.
+    """
+    coeffs = np.array(s.coeffs)
+    lip = float(np.abs(np.arange(-s.d2, s.d1 + 1) * coeffs).sum())
+    span = max(np.ptp(zs.real), np.ptp(zs.imag))
+    want = 8.0 * math.pi * lip * math.sqrt(zs.size)  # samples for gap = span / (4 sqrt(N))
+    samples = _MAX_CURVE_SAMPLES if want >= _MAX_CURVE_SAMPLES * span else math.ceil(want / span)
+    gap = 2.0 * math.pi * lip / samples
+    pts = s.curve(samples)
+    # Rounding slack: the backward error of roots the Aberth route accepts
+    # (relative residual 10 _TOL_RESIDUAL) and of the sampled curve.
+    slack = 100.0 * _TOL_RESIDUAL * (np.abs(coeffs).sum() + np.abs(zs).max())
+    radius = gap + 2.0 * TOL_BOUNDARY * lip + slack
+    assert np.abs(pts - np.roll(pts, 1)).max() <= gap * (1.0 + 1e-9)
+
+    # Signed crossings of each polygon edge with the distinct lines Im = y,
+    # half-open in y so that every line's signs sum to zero.
+    ys = np.unique(zs.imag)
+    x0, y0 = pts.real, pts.imag
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    lo = np.searchsorted(ys, np.minimum(y0, y1))
+    count = np.searchsorted(ys, np.maximum(y0, y1)) - lo
+    edge = np.repeat(np.arange(samples), count)
+    line = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    xc = x0[edge] + (ys[line] - y0[edge]) / (y1[edge] - y0[edge]) * (x1[edge] - x0[edge])
+    # Complex keys sort by (line, x); a suffix sum from a node's key counts
+    # the crossings to its right on its own line.
+    key = line + 1j * xc
+    order = np.argsort(key)
+    sign = np.where(y1 > y0, 1, -1)[edge][order]
+    suffix = np.append(np.cumsum(sign[::-1])[::-1], 0)
+    row = np.searchsorted(ys, zs.imag)
+    dd = suffix[np.searchsorted(key[order], row + 1j * zs.real, side="right")]
+
+    # Band: the nodes in a cell next to a cell holding a sample, which takes
+    # in every node within radius of one.  Cells are at least radius and
+    # span / (4 sqrt(N)) wide, so the nodes' cells on each axis are the
+    # indices 0..top-2 with top <= 4 sqrt(N) + 2; samples beyond are clipped
+    # to -2 or top, whose neighbours hold no node.
+    size = max(radius, span / (4.0 * math.sqrt(zs.size)))
+    top = int(span // size) + 2
+    width = top + 5
+
+    def cells(w):
+        i = np.clip(np.floor((w.real - zs.real.min()) / size), -2, top)
+        j = np.clip(np.floor((w.imag - zs.imag.min()) / size), -2, top)
+        return (i * width + j).astype(np.int64)
+
+    ring = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    near = np.unique(cells(pts)[:, None] + ring)
+    at = cells(zs)
+    return dd, near[np.searchsorted(near, at).clip(max=near.size - 1)] == at
+
+
+def _aberth_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """region_labels by the Aberth iteration at every node of ``zs``:
+    (dd, boundary_mask), with failed iterations reported as boundary."""
     m = zs.size
     dd = np.zeros(m, dtype=int)
     bmask = np.zeros(m, dtype=bool)
-    if m == 0:
-        return dd, bmask
     cmat = np.tile(np.array(s.coeffs, dtype=complex), (m, 1))
     cmat[:, s.d2] -= zs
     easy = (cmat[:, -1] != 0) & (cmat[:, 0] != 0)

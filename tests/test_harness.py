@@ -361,6 +361,37 @@ def test_region_map_csv_bytes_match_csv_writer(s, rect, resolution, labels, tmp_
         assert (tmp_path / f"regions_{name}.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize(
+    "s, rect, degenerate",
+    [
+        # d1 = 0: at z = a_0 = 0.2 the polynomial degree collapses.
+        (Symbol((1.0, 1.0, 0.2), 0, 2), (-0.3, 2.7, -2.0, 2.0), "boundary"),
+        # d1 = 0, d2 = 1: z = a_0 = 0.5 is the centre of the circle a(S^1),
+        # far off the band, yet still degenerate.
+        (Symbol((1.0, 0.5), 0, 1), (-1.0, 2.0, -1.5, 1.5), "boundary"),
+        # d2 = 0: z = a_0 = 0.5 gives the zero root of lam^2 + 2 lam.
+        (Symbol((0.5, 2.0, 1.0), 2, 0), (-1.0, 4.0, -2.5, 2.5), "1"),
+    ],
+    ids=["degree_collapse", "degree_collapse_centre", "zero_root"],
+)
+def test_region_map_bytes_match_aberth_labels(s, rect, degenerate, tmp_path, monkeypatch):
+    """Winding-number labels off the band write the same grid, summary and
+    SVG bytes as Aberth labels at every node, here with the node z = a_0
+    on the grid."""
+    got = run_region_map(s, rect, 61).write(tmp_path / "got")
+    monkeypatch.setattr(
+        harness,
+        "region_labels",
+        lambda s, zs: symbol._aberth_labels(s, np.asarray(zs, complex).ravel()),
+    )
+    want = run_region_map(s, rect, 61).write(tmp_path / "want")
+    assert [p.name for p in got] == [p.name for p in want]
+    for g, w in zip(got, want):
+        assert g.read_bytes() == w.read_bytes(), g.name
+    node = f"\n{s.coeff(0).real!r},0.0,{degenerate}\r\n".encode()
+    assert node in (tmp_path / "got" / "regions_grid.csv").read_bytes()
+
+
 def test_run_region_map_validation(quad):
     with pytest.raises(ConfigError):
         run_region_map(quad, (1.0, 0.0, 0.0, 1.0), 9)

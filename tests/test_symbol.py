@@ -283,9 +283,10 @@ def test_aberth_batch_rows_are_independent(rng):
 
 
 def test_region_labels_blocks_do_not_change_labels(quad, monkeypatch):
-    xs = np.linspace(-2.5, 3.5, 120)
-    ys = np.linspace(-3.0, 3.0, 120)
-    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    # Only nodes near the curve reach the Aberth blocks: points of a(S^1),
+    # some shifted by 1e-3, more of them than one block holds.
+    offsets = np.array([0.0, 1e-3, -1e-3, 1e-3j, -1e-3j])
+    zs = (quad.curve(2000)[:, None] + offsets).ravel()
     assert zs.size > symbol._ROOT_BLOCK
     batch_rows = []
     real_batch = symbol._aberth_batch
@@ -297,9 +298,26 @@ def test_region_labels_blocks_do_not_change_labels(quad, monkeypatch):
     monkeypatch.setattr(symbol, "_aberth_batch", counting_batch)
     dd, bmask = region_labels(quad, zs)
     assert len(batch_rows) > 1 and max(batch_rows) <= symbol._ROOT_BLOCK
+    assert sum(batch_rows) == zs.size
     parts = [region_labels(quad, zs[i : i + 5000]) for i in range(0, zs.size, 5000)]
     assert np.array_equal(dd, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(bmask, np.concatenate([p[1] for p in parts]))
+
+
+def _random_symbol(d1, d2, seed):
+    g = np.random.default_rng(seed)
+    coeffs = g.standard_normal(d1 + d2 + 1) + 1j * g.standard_normal(d1 + d2 + 1)
+    return Symbol(tuple(coeffs), d1, d2), g
+
+
+def _companion_moduli(s, z):
+    """|lam| over the roots of (a(lam) - z) lam^d2, from companion-matrix
+    eigenvalues."""
+    c = char_poly_coeffs(s, z)
+    comp = np.zeros((s.d, s.d), complex)
+    comp[1:, :-1] = np.eye(s.d - 1)
+    comp[:, -1] = -c[:-1] / c[-1]
+    return np.abs(np.linalg.eigvals(comp))
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,23 +330,82 @@ def test_region_labels_match_companion_root_counts(d1, d2, seed):
     # Independent oracle: d1 - #{|lam| >= 1} with the roots of
     # (a(lam) - z) lam^d2 taken from companion-matrix eigenvalues.
     assume(1 <= d1 + d2 <= 4)
-    g = np.random.default_rng(seed)
-    coeffs = g.standard_normal(d1 + d2 + 1) + 1j * g.standard_normal(d1 + d2 + 1)
-    s = Symbol(tuple(coeffs), d1, d2)
+    s, _ = _random_symbol(d1, d2, seed)
     curve = s.curve(256)
     xs = np.linspace(curve.real.min() - 0.5, curve.real.max() + 0.5, 9)
     ys = np.linspace(curve.imag.min() - 0.5, curve.imag.max() + 0.5, 9)
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
     dd, bmask = region_labels(s, zs)
     for z, order in zip(zs[~bmask], dd[~bmask]):
-        c = char_poly_coeffs(s, z)
-        comp = np.zeros((s.d, s.d), complex)
-        comp[1:, :-1] = np.eye(s.d - 1)
-        comp[:, -1] = -c[:-1] / c[-1]
-        moduli = np.abs(np.linalg.eigvals(comp))
+        moduli = _companion_moduli(s, z)
         if np.abs(moduli - 1.0).min() < 1e-6:
             continue
         assert order == s.d1 - int((moduli >= 1.0).sum()), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d1=st.integers(0, 4),
+    d2=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_winding_labels_match_companion_root_counts(d1, d2, seed):
+    # Off the band the winding number of a(S^1) is the region order, on a
+    # grid and on scattered nodes (and on one node, whose extent is zero).
+    assume(1 <= d1 + d2 <= 4)
+    s, g = _random_symbol(d1, d2, seed)
+    curve = s.curve(256)
+    re_lo, re_hi = curve.real.min() - 0.5, curve.real.max() + 0.5
+    im_lo, im_hi = curve.imag.min() - 0.5, curve.imag.max() + 0.5
+    xs, ys = np.linspace(re_lo, re_hi, 30), np.linspace(im_lo, im_hi, 30)
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    scattered = g.uniform(re_lo, re_hi, 200) + 1j * g.uniform(im_lo, im_hi, 200)
+    for zs in (grid, scattered, scattered[:1]):
+        dd, band = symbol._winding_labels(s, zs)
+        assert zs.size == 1 or (~band).sum() >= 0.25 * zs.size
+        want = [s.d1 - int((_companion_moduli(s, z) >= 1.0).sum()) for z in zs[~band]]
+        assert np.array_equal(dd[~band], want)
+
+
+TENTPOLE_SYMBOLS = [
+    (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0)),
+    # 0.5 lam^-1 + 0.3i + lam
+    (Symbol((0.5, 0.3j, 1.0), 1, 1), (-2.0, 2.0, -2.0, 2.0)),
+    # 0.2 lam^-2 - 0.4 lam^-1 + 0.1i + lam + 0.3 lam^2
+    (Symbol((0.2, -0.4, 0.1j, 1.0, 0.3), 2, 2), (-3.0, 3.0, -3.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("s, rect", TENTPOLE_SYMBOLS, ids=["quad", "d1_d2_1", "d1_d2_2"])
+def test_region_labels_match_aberth_on_every_node(s, rect):
+    xs = np.linspace(rect[0], rect[1], 120)
+    ys = np.linspace(rect[2], rect[3], 120)
+    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    dd, bmask = region_labels(s, zs)
+    want_dd, want_bmask = symbol._aberth_labels(s, zs)
+    assert np.array_equal(bmask, want_bmask)
+    assert np.array_equal(dd[~bmask], want_dd[~want_bmask])
+    assert symbol._winding_labels(s, zs)[1].sum() < 0.1 * zs.size
+
+
+def test_aberth_converges_on_the_benchmark_grid(quad, monkeypatch):
+    # Off the band region_labels trusts winding numbers where the Aberth
+    # route would have reported a failed iteration as boundary, so the two
+    # agree only while no iteration fails: none does on criterion 5's grid.
+    oks = []
+    real_batch = symbol._aberth_batch
+
+    def recording_batch(c):
+        roots, ok = real_batch(c)
+        oks.append(ok)
+        return roots, ok
+
+    monkeypatch.setattr(symbol, "_aberth_batch", recording_batch)
+    xs = np.linspace(-2.5, 3.5, 400)
+    ys = np.linspace(-3.0, 3.0, 400)
+    symbol._aberth_labels(quad, (xs[None, :] + 1j * ys[:, None]).ravel())
+    ok = np.concatenate(oks)
+    assert ok.size == xs.size * ys.size and ok.all()
 
 
 def test_region_svg_runs_by_hand():
