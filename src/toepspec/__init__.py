@@ -12,6 +12,7 @@ from .linalg import (
     ConvergenceError,
     LogDet,
     SpectrumResult,
+    band_logdet,
     eigenvalues,
     haar_unitary,
     hs_norm,
@@ -45,12 +46,20 @@ from .toeplitz import (
     build,
     build_shifted,
     build_z,
+    interleaved_band,
     moment_lhs,
     moment_rhs,
     trace_word,
     widom_sum,
 )
-from .noise import NoiseModel, corner_delta, corner_support, sample, smin_tail_check
+from .noise import (
+    NoiseModel,
+    corner_delta,
+    corner_entries,
+    corner_support,
+    sample,
+    smin_tail_check,
+)
 from .expansion import (
     anti_conc_experiment,
     bidiag_subdet,
@@ -100,6 +109,7 @@ __all__ = [
     "SpectrumResult",
     "lu_logdet",
     "lu_det",
+    "band_logdet",
     "eigenvalues",
     "singular_values",
     "smin",
@@ -115,6 +125,7 @@ __all__ = [
     "build",
     "build_z",
     "build_shifted",
+    "interleaved_band",
     "bidiagonal_factor_check",
     "trace_word",
     "moment_lhs",
@@ -124,6 +135,7 @@ __all__ = [
     "NoiseModel",
     "sample",
     "corner_support",
+    "corner_entries",
     "corner_delta",
     "smin_tail_check",
     # expansion

@@ -66,25 +66,32 @@ def _support(pairs) -> tuple[list, list]:
     return rows, cols
 
 
-def _minor_table(a: np.ndarray, rows, cols, k: int) -> list:
-    """(X, Y, sign(X) sign(Y) det(A[X^c, Y^c])) over k-subsets X of rows, Y of cols."""
+def _minor_table(a: np.ndarray, rows, cols, k: int) -> tuple:
+    """The k-subsets X of rows and Y of cols as (P, k) index arrays, pair by
+    pair, with each pair's signed minor sign(X) sign(Y) det(A[X^c, Y^c])."""
     n = a.shape[0]
     every = np.arange(n)
-    return [
-        (x, y, perm_sign(x, n) * perm_sign(y, n)
-         * lu_det(a[np.ix_(np.delete(every, x), np.delete(every, y))]))
-        for x in combinations(rows, k) for y in combinations(cols, k)
-    ]
+    pairs = [(x, y) for x in combinations(rows, k) for y in combinations(cols, k)]
+    xs = np.array([x for x, _ in pairs], dtype=np.intp).reshape(len(pairs), k)
+    ys = np.array([y for _, y in pairs], dtype=np.intp).reshape(len(pairs), k)
+    minors = np.array(
+        [
+            perm_sign(x, n) * perm_sign(y, n)
+            * lu_det(a[np.ix_(np.delete(every, x), np.delete(every, y))])
+            for x, y in pairs
+        ],
+        dtype=complex,
+    )
+    return xs, ys, minors
 
 
 def _table_sum(table, b: np.ndarray) -> complex:
-    """sum over the table of its signed minor times det(B[X, Y]), skipping exact zeros."""
-    total = 0j
-    for x, y, minor in table:
-        db = lu_det(b[np.ix_(x, y)])
-        if db != 0:
-            total += minor * db
-    return total
+    """sum over the table of its signed minor times det(B[X, Y]), skipping
+    exact zeros; the k x k blocks B[X, Y] go to one stacked det call."""
+    xs, ys, minors = table
+    dets = np.linalg.det(b[xs[:, :, None], ys[:, None, :]])
+    keep = dets != 0
+    return complex(np.sum(minors[keep] * dets[keep]))
 
 
 def det_sum_decomposition(a, b) -> complex:

@@ -1,14 +1,16 @@
-"""Dense complex linear-algebra kernels.
+"""Complex linear-algebra kernels.
 
 The package-wide matrix substrate is a C-contiguous ``numpy.complex128``
-array (row-major, ``shape == (rows, cols)``).  Every factorization is one
-``numpy.linalg`` (LAPACK) call: ``slogdet`` for log-determinants,
+array (row-major, ``shape == (rows, cols)``).  Every factorization but one
+is one ``numpy.linalg`` (LAPACK) call: ``slogdet`` for log-determinants,
 ``eigvals`` for general complex spectra, ``svd`` for singular values,
-Stieltjes transforms and norms, and ``qr`` for Haar unitaries.  This module
-fixes the package's contracts around those calls: input coercion, the
-``LogDet`` form with its singular sentinel, and how non-convergence is
-reported.  Results are bit-identical across reruns for a fixed numpy/BLAS
-build and BLAS thread setting.
+Stieltjes transforms and norms, and ``qr`` for Haar unitaries.  The
+exception is ``band_logdet``, a partial-pivoted band LU written here in
+numpy, because numpy has no band solver and numpy stays the package's only
+dependency.  This module fixes the package's contracts around those calls:
+input coercion, the ``LogDet`` form with its singular sentinel, and how
+non-convergence is reported.  Results are bit-identical across reruns for a
+fixed numpy/BLAS build and BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "as_matrix",
     "lu_logdet",
     "lu_det",
+    "band_logdet",
     "eigenvalues",
     "singular_values",
     "smin",
@@ -101,6 +104,69 @@ def lu_logdet(m) -> LogDet:
 def lu_det(m) -> complex:
     """Plain determinant (0 for singular input). Overflows if log|det| > 709."""
     return lu_logdet(m).det
+
+
+def band_logdet(ab, kl: int, ku: int) -> list[LogDet]:
+    """log|det| and phase of B band matrices of equal order N, one ``LogDet``
+    per matrix, by partial-pivoted LU.
+
+    ``ab`` has shape (B, N, kl + ku + 1) and holds row i of matrix b as
+    ``ab[b, i, kl + j - i] = A_b[i, j]`` for i - kl <= j <= i + ku; slots
+    outside the matrix are ignored.  The rows are copied into a work array
+    of width 2 kl + ku + 1, which leaves room for the fill that row swaps
+    bring.  Step k sees rows k..k+kl and columns k..k+kl+ku, the only part
+    of the matrix the step can read or change, as a skewed view of that
+    array; the Python loop runs over k and is vectorized over the batch, so
+    a call costs O(B N (kl + 1)(kl + ku)) flops and O(B N (kl + ku)) memory.
+    An exactly zero pivot column marks the matrix singular, as in
+    ``lu_logdet``.
+    """
+    kl, ku = int(kl), int(ku)
+    a = np.asarray(ab, dtype=np.complex128)
+    if kl < 0 or ku < 0:
+        raise ValueError("band widths must be nonnegative")
+    if a.ndim != 3 or a.shape[2] != kl + ku + 1 or a.shape[1] < 1:
+        raise ValueError(
+            f"expected band storage of shape (B, N, {kl + ku + 1}), got {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    nb, n, _ = a.shape
+    span = kl + ku + 1
+    # Row i keeps columns i - kl .. i + kl + ku, and kl zero rows pad the
+    # last windows.
+    work = np.zeros((nb, n + kl, span + kl), dtype=np.complex128)
+    work[:, :n, :span] = a
+    # windows[:, k][b, r, c] is A_b[k + r, k + c] (work[b, k + r, kl + c - r]).
+    sb, sr, sc = work.strides
+    windows = np.lib.stride_tricks.as_strided(
+        work[:, :, kl:], shape=(nb, n, kl + 1, span), strides=(sb, sr, sr - sc, sc)
+    )
+    batch = np.arange(nb)
+    pivots = np.empty((n, nb), dtype=np.complex128)
+    picks = np.empty((n, nb), dtype=np.int64)
+    # A zero pivot leaves its multipliers NaN; the matrix is then singular
+    # and nothing computed after that step is used.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n):
+            w = windows[:, k]
+            p = np.abs(w[:, :, 0]).argmax(axis=1)
+            top = w[batch, p]
+            w[batch, p] = w[:, 0]
+            picks[k] = p
+            pivots[k] = top[:, 0]
+            if kl:
+                w[:, 1:, 1:] -= (w[:, 1:, :1] / top[:, None, :1]) * top[:, None, 1:]
+        mags = np.abs(pivots)
+        log_abs = np.log(mags).sum(axis=0)
+        phase = np.prod(pivots / mags, axis=0)
+        phase /= np.abs(phase)
+    phase *= np.where((picks != 0).sum(axis=0) % 2, -1.0, 1.0)
+    singular = (mags == 0).any(axis=0)
+    return [
+        LogDet(LOG_SINGULAR, 1.0 + 0j, True) if sing else LogDet(float(la), complex(ph), False)
+        for sing, la, ph in zip(singular, log_abs, phase)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "NoiseModel",
     "sample",
     "corner_support",
+    "corner_entries",
     "corner_delta",
     "SminTailReport",
     "smin_tail_check",
@@ -155,18 +156,26 @@ def _check_corner(s: Symbol, n: int, gamma_star: float) -> None:
         raise ValueError(f"matrix size {n} too small for corner widths ({s.d1}, {s.d2})")
 
 
+def corner_entries(
+    s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random corner perturbation as (rows, cols, values): the sorted
+    ``corner_support`` and N^{-gamma_star} * Uniform[1/2, 1] draws on it
+    (preconditions: ``_check_corner``)."""
+    _check_corner(s, n, gamma_star)
+    support = np.array(corner_support(n, s.d1, s.d2, transpose), dtype=np.intp).reshape(-1, 2)
+    rg = generator(seed)
+    vals = float(n) ** (-gamma_star) * rg.uniform(0.5, 1.0, size=len(support))
+    return support[:, 0], support[:, 1], vals
+
+
 def corner_delta(
     s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
 ) -> np.ndarray:
-    """Random corner perturbation: entries N^{-gamma_star} * Uniform[1/2, 1]
-    on the corner support, zero elsewhere (preconditions: ``_check_corner``)."""
-    _check_corner(s, n, gamma_star)
-    support = corner_support(n, s.d1, s.d2, transpose=transpose)
-    rg = generator(seed)
-    vals = float(n) ** (-gamma_star) * rg.uniform(0.5, 1.0, size=len(support))
+    """The dense N x N matrix of ``corner_entries``: zero off the corner support."""
+    rows, cols, vals = corner_entries(s, n, gamma_star, seed, transpose)
     delta = np.zeros((n, n), dtype=complex)
-    for (i, j), v in zip(support, vals):
-        delta[i, j] = v
+    delta[rows, cols] = vals
     return delta
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "build",
     "build_z",
     "build_shifted",
+    "interleaved_band",
     "bidiagonal_factor_check",
     "trace_word",
     "moment_lhs",
@@ -82,6 +83,52 @@ def build_z(s: Symbol, z: complex, n: int) -> np.ndarray:
     idx = np.arange(n)
     t[idx, idx] -= z
     return t
+
+
+def _interleave_pos(idx: np.ndarray, n: int) -> np.ndarray:
+    """Position of each index under the interleave order (0, N-1, 1, N-2, ...)."""
+    back = idx >= (n + 1) // 2
+    return np.where(back, 2 * (n - 1 - idx) + 1, 2 * idx)
+
+
+def interleaved_band(
+    s: Symbol, zs, n: int, rows=(), cols=(), vals=()
+) -> tuple[np.ndarray, int, int]:
+    """T_N(z) + Delta for each z in ``zs``, with rows and columns both taken
+    in the interleave order (0, N-1, 1, N-2, ...), as ``band_logdet`` input
+    ``(ab, kl, ku)``.
+
+    Delta is zero but for ``vals`` added at (``rows``, ``cols``), such as
+    ``noise.corner_entries`` gives.  A band matrix with corner
+    entries wraps around; the interleave order makes it an ordinary band,
+    with kl and ku read off the permuted nonzero pattern (both at most
+    2 max(d1, d2) for corner entries).  No N x N array is built, and a
+    reordering of rows and columns together leaves the determinant as it is.
+    """
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=np.complex128)
+    if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+        raise ValueError("rows, cols and vals must be 1-d of equal length")
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise ValueError(f"perturbation indices must lie in [0, {n})")
+    # Each band diagonal's (row, col) positions after the reordering.
+    diags = []
+    for k in range(-s.d2, s.d1 + 1):
+        if (k == 0 or s.coeff(k) != 0) and abs(k) < n:
+            i = np.arange(max(0, -k), min(n, n - k))
+            diags.append((k, _interleave_pos(i, n), _interleave_pos(i + k, n)))
+    pr, pc = _interleave_pos(rows, n), _interleave_pos(cols, n)
+    gaps = np.concatenate([q - p for _, p, q in diags] + [pc - pr])
+    kl, ku = int(-gaps.min()), int(gaps.max())
+    ab = np.zeros((zs.size, n, kl + ku + 1), dtype=np.complex128)
+    for k, p, q in diags:
+        ab[:, p, kl + q - p] = s.coeff(k) - (zs[:, None] if k == 0 else 0.0)
+    np.add.at(ab, (slice(None), pr, kl + pc - pr), vals)
+    return ab, kl, ku
 
 
 def build_shifted(s: Symbol, z: complex, spec: ShiftSpec, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 import toepspec
 from toepspec import expansion, harness, symbol
-from toepspec._rng import DOMAIN_CORNER, seed_sequence
+from toepspec._rng import DOMAIN_CORNER, DOMAIN_LOGPOT, seed_sequence
 from conftest import random_complex
 from toepspec import (
     BOUNDARY,
@@ -428,6 +428,51 @@ def test_run_logpot_rejects_boundary_z(quad):
         run_logpot(tiny_config(quad, z_grid=ZGrid(rect=(0, 1, 0, 1), resolution=3)))
 
 
+def test_run_logpot_corner_noise_is_one_band_call_per_cell(quad, monkeypatch):
+    # Each (N, trial) cell factors its whole z list in one batched band call
+    # and builds no dense matrix; the values are the dense LU's.
+    cfg = tiny_config(
+        quad, sizes=(6, 15), trials=2, noise=NoiseModel("corner_delta", gamma_star=3.0),
+        z_grid=ZGrid(points=(3.0 + 0j, 1.0 + 0j, -0.1 + 0j)),
+    )
+    bands, dense = [], []
+    spy(monkeypatch, bands, "band_logdet", harness)
+    spy(monkeypatch, dense, "build_z", harness)
+    art = run_logpot(cfg)
+    monkeypatch.undo()
+    assert sorted(ab.shape[:2] for ab in bands) == [(3, 6), (3, 6), (3, 15), (3, 15)]
+    assert dense == []
+    root = seed_sequence(cfg.seed)
+    for rec in art.records:
+        n, z = rec["n"], complex(*rec["z"])
+        pert = perturbation(quad, cfg.noise, cfg.gamma, n, seed_sequence(root, DOMAIN_LOGPOT, n, rec["trial"]))
+        want = np.linalg.slogdet(harness.build_z(quad, z, n) + pert)[1] / n
+        assert not rec["singular"]
+        assert rec["log_pot"] == pytest.approx(want, abs=1e-12)
+
+
+def test_run_logpot_entrywise_noise_stays_dense(quad, monkeypatch):
+    calls = []
+    spy(monkeypatch, calls, "band_logdet", harness)
+    run_logpot(tiny_config(quad, sizes=(8,), trials=1))
+    assert calls == []
+
+
+def test_run_logpot_corner_noise_at_ten_thousand(quad):
+    # Capability: a dense T_N(z) + Delta at N = 10^4 would take 1.6 GB.  The
+    # median sits k gamma* ln(N)/N below the limit, k the region order.
+    n, gamma_star = 10_000, 3.0
+    cfg = tiny_config(
+        quad, sizes=(n,), trials=1, noise=NoiseModel("corner_delta", gamma_star=gamma_star),
+        z_grid=ZGrid(points=(3.0 + 0j, -0.1 + 0j)),
+    )
+    art = run_logpot(cfg)
+    for row, k in zip(art.summary, (0, 2)):
+        biased = row["limit"] - k * gamma_star * math.log(n) / n
+        assert row["valid_trials"] == 1
+        assert abs(row["median_log_pot"] - biased) < 0.05, row
+
+
 def test_run_replacement_identical_models(quad):
     cfg = tiny_config(quad, seed=0)
     art = run_replacement(cfg, 1.0, 20, cfg.noise)
@@ -532,20 +577,16 @@ def test_run_expansion_solves_roots_at_most_twice(quad, monkeypatch, sizes, draw
 def test_run_expansion_factors_each_minor_once_per_size(quad, monkeypatch):
     # QUAD's corner support has rows {n-2, n-1} and columns {0, 1}: P_0 is
     # one order-n det, P_1's table 2 x 2 order-(n-1) minors and P_2's table
-    # one order-(n-2) minor, whatever the number of draws.
-    orders = {}
+    # one order-(n-2) minor.  Those are the only lu_det calls, whatever the
+    # number of draws: each draw's k x k corner determinants go to one
+    # stacked np.linalg.det call per k.
     for draws in (1, 6):
         calls = []
         spy(monkeypatch, calls, "lu_det", expansion)
         run_expansion(quad, 1.0, [6, 10], draws, 3.0, 5)
         monkeypatch.undo()
-        orders[draws] = [len(m) for m in calls]
-    for draws, seen in orders.items():
-        for n in (6, 10):
-            assert [seen.count(n - k) for k in range(3)] == [1, 4, 1], (draws, n)
-        # Every other factorization is a draw's own k x k corner determinant.
-        assert sorted(set(seen) - {4, 5, 6, 8, 9, 10}) == [1, 2]
-        assert seen.count(1) + seen.count(2) == draws * 2 * (4 + 1)
+        seen = [len(m) for m in calls]
+        assert sorted(seen) == sorted(n - k for n in (6, 10) for k in (0, 1, 1, 1, 1, 2)), draws
 
 
 @pytest.mark.parametrize(

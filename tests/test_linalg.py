@@ -16,6 +16,7 @@ from toepspec import (
     LOG_SINGULAR,
     ConvergenceError,
     LogDet,
+    band_logdet,
     eigenvalues,
     haar_unitary,
     hs_norm,
@@ -64,6 +65,79 @@ def test_lu_logdet_flags_singular():
     assert ld.singular
     assert ld.log_abs == LOG_SINGULAR
     assert ld.det == 0
+
+
+def band_storage(m, kl, ku):
+    """Row-wise band storage of a dense matrix: out[i, kl + j - i] = m[i, j]."""
+    n = m.shape[0]
+    ab = np.zeros((n, kl + ku + 1), dtype=complex)
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            ab[i, kl + j - i] = m[i, j]
+    return ab
+
+
+def random_band(rng, n, kl, ku):
+    m = random_complex(rng, n)
+    i, j = np.indices((n, n))
+    m[(j - i > ku) | (i - j > kl)] = 0
+    return m
+
+
+@pytest.mark.parametrize("kl, ku", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (2, 5)])
+def test_band_logdet_matches_slogdet(rng, kl, ku):
+    # One batched call over matrices of the same order.  Two backward-stable
+    # LUs agree to about cond * eps; random triangular band matrices grow
+    # ill-conditioned with n, so the tolerance follows the condition number.
+    for n in (1, 2, 5, 13, 40):
+        mats = [random_band(rng, n, kl, ku) for _ in range(3)]
+        got = band_logdet(np.stack([band_storage(m, kl, ku) for m in mats]), kl, ku)
+        assert len(got) == 3
+        for m, ld in zip(mats, got):
+            sign, logabs = np.linalg.slogdet(m)
+            tol = 1e-13 * max(10.0, np.linalg.cond(m))
+            assert not ld.singular
+            assert abs(ld.log_abs - logabs) <= tol, (n, kl, ku)
+            assert abs(ld.phase - sign) <= tol, (n, kl, ku)
+
+
+def test_band_logdet_ignores_slots_off_the_matrix(rng):
+    m = random_band(rng, 6, 2, 1)
+    ab = band_storage(m, 2, 1)
+    filled = ab.copy()
+    for i in range(6):
+        for c in range(4):
+            if not 0 <= i + c - 2 < 6:
+                filled[i, c] = 7.0 - 3j
+    assert band_logdet(filled[None], 2, 1) == band_logdet(ab[None], 2, 1)
+
+
+def test_band_logdet_flags_singular_per_matrix(rng):
+    # A zero column is an exact zero pivot; the other matrix of the batch
+    # is unaffected.
+    sick = random_band(rng, 8, 2, 2)
+    sick[:, 3] = 0
+    well = random_band(rng, 8, 2, 2)
+    got = band_logdet(np.stack([band_storage(sick, 2, 2), band_storage(well, 2, 2)]), 2, 2)
+    assert got[0] == LogDet(LOG_SINGULAR, 1.0 + 0j, True)
+    assert not got[1].singular
+    assert got[1].log_abs == pytest.approx(np.linalg.slogdet(well)[1], abs=1e-9)
+
+
+def test_band_logdet_validation(rng):
+    ab = band_storage(random_band(rng, 5, 1, 1), 1, 1)[None]
+    with pytest.raises(ValueError):
+        band_logdet(ab, 1, 2)  # width does not match kl + ku + 1
+    with pytest.raises(ValueError):
+        band_logdet(ab[0], 1, 1)  # no batch axis
+    with pytest.raises(ValueError):
+        band_logdet(ab, -1, 3)
+    with pytest.raises(ValueError):
+        band_logdet(np.zeros((1, 0, 3)), 1, 1)
+    bad = ab.copy()
+    bad[0, 2, 1] = np.nan
+    with pytest.raises(ValueError):
+        band_logdet(bad, 1, 1)
 
 
 def test_logdet_det_property():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from toepspec._rng import generator
 from toepspec import (
     NoiseModel,
     Symbol,
     corner_delta,
+    corner_entries,
     corner_support,
     op_norm_est,
     sample,
@@ -129,6 +131,32 @@ def test_corner_delta_entries(quad):
     assert np.abs(vals.imag).max() == 0.0
     scale = float(n) ** (-gs)
     assert np.all(vals.real >= 0.5 * scale) and np.all(vals.real <= scale)
+
+
+@pytest.mark.parametrize("coeffs, d1, d2", [((0, 1, 1), 2, 0), ((1, 0.5j, 2, 0.3), 1, 2)])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_corner_delta_is_the_per_entry_scatter_of_its_stream(coeffs, d1, d2, transpose):
+    # The stream and the values are fixed: one Uniform[1/2, 1] draw per
+    # support pair, in sorted pair order, scaled by N^{-gamma*}.
+    s = Symbol(coeffs, d1, d2)
+    for n, seed in ((4, 0), (9, 7), (31, 123456789)):
+        support = corner_support(n, d1, d2, transpose)
+        vals = float(n) ** -4.5 * generator(seed).uniform(0.5, 1.0, size=len(support))
+        want = np.zeros((n, n), dtype=complex)
+        for (i, j), v in zip(support, vals):
+            want[i, j] = v
+        got = corner_delta(s, n, 4.5, seed, transpose)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        rows, cols, entries = corner_entries(s, n, 4.5, seed, transpose)
+        assert list(zip(rows.tolist(), cols.tolist())) == support
+        assert entries.tobytes() == vals.tobytes()
+
+
+def test_corner_entries_checks_the_corner_regime(quad):
+    with pytest.raises(ValueError):
+        corner_entries(quad, 2, 3.0, seed=0)  # N <= max(d1, d2)
+    with pytest.raises(ValueError):
+        corner_entries(quad, 10, 2.0, seed=0)  # gamma_star <= d
 
 
 def test_corner_delta_norm_bound(quad):
