@@ -16,14 +16,10 @@ from .linalg import (
     eigenvalues,
     haar_unitary,
     hs_norm,
-    load_matrix,
     lu_det,
     lu_logdet,
-    op_norm_est,
-    save_matrix,
     singular_values,
     smin,
-    stieltjes,
     stieltjes_from_singvals,
 )
 from .symbol import (
@@ -41,10 +37,8 @@ from .symbol import (
     sample_mu_a,
 )
 from .toeplitz import (
-    ShiftSpec,
     bidiagonal_factor_check,
     build,
-    build_shifted,
     build_z,
     interleaved_band,
     moment_lhs,
@@ -74,7 +68,6 @@ from .harness import (
     RunArtifact,
     ZGrid,
     energy_distance,
-    interval_mass_check,
     ks_distance,
     perturbation,
     run_esd,
@@ -113,18 +106,12 @@ __all__ = [
     "eigenvalues",
     "singular_values",
     "smin",
-    "stieltjes",
     "stieltjes_from_singvals",
     "hs_norm",
-    "op_norm_est",
     "haar_unitary",
-    "save_matrix",
-    "load_matrix",
     # toeplitz
-    "ShiftSpec",
     "build",
     "build_z",
-    "build_shifted",
     "interleaved_band",
     "bidiagonal_factor_check",
     "trace_word",
@@ -152,7 +139,6 @@ __all__ = [
     "RunArtifact",
     "energy_distance",
     "ks_distance",
-    "interval_mass_check",
     "thread_count",
     "perturbation",
     "run_esd",

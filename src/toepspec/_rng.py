@@ -16,8 +16,6 @@ DOMAIN_NOISE = 0
 DOMAIN_MU = 1
 DOMAIN_LOGPOT = 2
 DOMAIN_REPLACE = 3
-DOMAIN_SMIN = 4
-DOMAIN_ANTICONC = 5
 DOMAIN_CORNER = 6
 
 _ENTROPY_MASK = (1 << 128) - 1

@@ -43,7 +43,9 @@ from .linalg import (
     band_logdet, eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals,
 )
 from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, corner_support, sample
-from .symbol import Symbol, region_labels, limit_logpot, classify_region, BOUNDARY, sample_mu_a
+from .symbol import (
+    BOUNDARY, Symbol, _json_int, classify_region, limit_logpot, region_labels, sample_mu_a,
+)
 from .toeplitz import build, build_z, interleaved_band
 
 __all__ = [
@@ -53,8 +55,6 @@ __all__ = [
     "RunArtifact",
     "energy_distance",
     "ks_distance",
-    "interval_mass_check",
-    "IntervalMassRecord",
     "perturbation",
     "run_esd",
     "run_expansion",
@@ -91,8 +91,11 @@ class ZGrid:
             re_lo, re_hi, im_lo, im_hi = self.rect
             if not (re_lo < re_hi and im_lo < im_hi):
                 raise ConfigError("rect must satisfy re_lo < re_hi and im_lo < im_hi")
-        if self.points is not None and len(self.points) == 0:
-            raise ConfigError("points z_grid must be nonempty")
+        if self.points is not None:
+            if len(self.points) == 0:
+                raise ConfigError("points z_grid must be nonempty")
+            if self.resolution is not None:
+                raise ConfigError("points z_grid takes no resolution")
 
     def to_json(self) -> dict:
         if self.points is not None:
@@ -103,22 +106,22 @@ class ZGrid:
     def from_json(cls, data) -> "ZGrid":
         if not isinstance(data, dict):
             raise ConfigError("z_grid must be an object")
-        if "points" in data:
-            try:
-                pts = tuple(complex(float(re), float(im)) for re, im in data["points"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed z_grid points: {exc}") from exc
-            return cls(points=pts)
-        if "rect" in data:
-            try:
-                rect = tuple(float(v) for v in data["rect"])
-                res = int(data["resolution"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed z_grid rect: {exc}") from exc
-            if len(rect) != 4:
-                raise ConfigError("z_grid rect must have 4 entries")
-            return cls(rect=rect, resolution=res)
-        raise ConfigError("z_grid needs 'points' or 'rect'")
+        extra = set(data) - {f.name for f in fields(cls)}
+        if extra:
+            raise ConfigError(f"unknown z_grid fields: {sorted(extra)}")
+        pts, rect, res = (data.get(k) for k in ("points", "rect", "resolution"))
+        try:
+            if pts is not None:
+                pts = tuple(complex(float(re), float(im)) for re, im in pts)
+            if rect is not None:
+                rect = tuple(float(v) for v in rect)
+            if res is not None:
+                res = _json_int(res, "z_grid resolution")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed z_grid: {exc}") from exc
+        if rect is not None and len(rect) != 4:
+            raise ConfigError("z_grid rect must have 4 entries")
+        return cls(points=pts, rect=rect, resolution=res)
 
 
 @dataclass(frozen=True)
@@ -181,13 +184,13 @@ class ExperimentConfig:
     def from_json(cls, data) -> "ExperimentConfig":
         data = cls.fields_of(data)
         try:
-            defaulted = {k: int(data[k]) for k in ("mu_samples", "seed") if k in data}
+            defaulted = {k: _json_int(data[k], k) for k in ("mu_samples", "seed") if k in data}
             return cls(
                 symbol=Symbol.from_json(data["symbol"]),
-                sizes=tuple(int(n) for n in data["sizes"]),
+                sizes=tuple(_json_int(n, "sizes entry") for n in data["sizes"]),
                 gamma=float(data["gamma"]),
                 noise=NoiseModel.from_json(data["noise"]),
-                trials=int(data["trials"]),
+                trials=_json_int(data["trials"], "trials"),
                 z_grid=ZGrid.from_json(data["z_grid"]),
                 outputs=data.get("outputs"),
                 **defaulted,
@@ -397,42 +400,6 @@ def ks_distance(x, y) -> float:
     fx = np.searchsorted(xs, grid, side="right") / xs.size
     fy = np.searchsorted(ys, grid, side="right") / ys.size
     return float(np.max(np.abs(fx - fy)))
-
-
-@dataclass(frozen=True)
-class IntervalMassRecord:
-    mass: float
-    upper: float
-    lower: float
-
-
-def interval_mass_check(samples, a: float, b: float, tau: float, rho: float) -> IntervalMassRecord:
-    """Bracket the symmetrized empirical mass of [a, b] by smoothed-Stieltjes
-    integrals at height tau with collar rho:
-
-        mass <= (1/pi) int_{a-rho}^{b+rho} |Im G(x + i tau)| dx + tau/rho,
-        mass >= (1/pi) int_{a+rho}^{b-rho} |Im G(x + i tau)| dx - tau/rho.
-
-    The measure is the symmetrization (+/- s_j, weight 1/2n each); for it the
-    integrals are exact arctan sums, so no quadrature error enters.
-    """
-    if not (tau > 0 and rho > 0):
-        raise ValueError("tau and rho must be positive")
-    if not (b - a > rho):
-        raise ValueError("interval must be longer than the collar rho")
-    s = np.asarray(samples, dtype=float).ravel()
-    if s.size == 0:
-        raise ValueError("need at least one sample")
-    pts = np.concatenate([s, -s])
-    mass = float(((pts >= a) & (pts <= b)).mean())
-
-    def kernel_integral(lo: float, hi: float) -> float:
-        vals = np.arctan((hi - pts) / tau) - np.arctan((lo - pts) / tau)
-        return float(vals.mean()) / math.pi
-
-    upper = kernel_integral(a - rho, b + rho) + tau / rho
-    lower = kernel_integral(a + rho, b - rho) - tau / rho
-    return IntervalMassRecord(mass=mass, upper=upper, lower=lower)
 
 
 # ---------------------------------------------------------------------------

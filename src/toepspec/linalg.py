@@ -3,22 +3,20 @@
 The package-wide matrix substrate is a C-contiguous ``numpy.complex128``
 array (row-major, ``shape == (rows, cols)``).  Every factorization but one
 is one ``numpy.linalg`` (LAPACK) call: ``slogdet`` for log-determinants,
-``eigvals`` for general complex spectra, ``svd`` for singular values,
-Stieltjes transforms and norms, and ``qr`` for Haar unitaries.  The
-exception is ``band_logdet``, a partial-pivoted band LU written here in
-numpy, because numpy has no band solver and numpy stays the package's only
-dependency.  This module fixes the package's contracts around those calls:
-input coercion, the ``LogDet`` form with its singular sentinel, and how
-non-convergence is reported.  Results are bit-identical across reruns for a
-fixed numpy/BLAS build and BLAS thread setting.
+``eigvals`` for general complex spectra, ``svd`` for singular values, and
+``qr`` for Haar unitaries.  The exception is ``band_logdet``, a
+partial-pivoted band LU written here in numpy, because numpy has no band
+solver and numpy stays the package's only dependency.  This module fixes
+the package's contracts around those calls: input coercion, the ``LogDet``
+form with its singular sentinel, and how non-convergence is reported.
+Results are bit-identical across reruns for a fixed numpy/BLAS build and
+BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,13 +33,9 @@ __all__ = [
     "eigenvalues",
     "singular_values",
     "smin",
-    "stieltjes",
     "stieltjes_from_singvals",
     "hs_norm",
-    "op_norm_est",
     "haar_unitary",
-    "save_matrix",
-    "load_matrix",
 ]
 
 #: Sentinel stored in ``LogDet.log_abs`` for an exactly singular factorization.
@@ -224,11 +218,6 @@ def stieltjes_from_singvals(svals: np.ndarray, xi: complex) -> complex:
     return complex((1.0 / (xi - s) + 1.0 / (xi + s)).sum() / (2.0 * n))
 
 
-def stieltjes(m, xi: complex) -> complex:
-    """Stieltjes transform at xi of the symmetrized spectrum of M."""
-    return stieltjes_from_singvals(singular_values(m), xi)
-
-
 # ---------------------------------------------------------------------------
 # Norms
 
@@ -237,11 +226,6 @@ def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     a = as_matrix(m)
     return math.sqrt(float(np.vdot(a, a).real))
-
-
-def op_norm_est(m) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +247,3 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     mags = np.abs(rdiag)
     ph = np.where(mags > 0, rdiag / np.where(mags > 0, mags, 1.0), 1.0)
     return q * ph[np.newaxis, :]
-
-
-# ---------------------------------------------------------------------------
-# Binary serialization (CMAT1)
-
-_MAGIC = b"CMAT1"
-_HEADER = struct.Struct("<QQ")
-
-
-def save_matrix(m, path) -> None:
-    """Write a matrix as CMAT1: magic, rows/cols as little-endian uint64,
-    then row-major float64 (re, im) pairs."""
-    a = as_matrix(m)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(_HEADER.pack(a.shape[0], a.shape[1]))
-        f.write(a.astype("<c16").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a CMAT1 file back into a complex128 matrix."""
-    data = Path(path).read_bytes()
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a CMAT1 file (bad magic)")
-    off = len(_MAGIC)
-    rows, cols = _HEADER.unpack_from(data, off)
-    off += _HEADER.size
-    need = rows * cols * 16
-    if len(data) - off != need:
-        raise ValueError(
-            f"{path}: payload size {len(data) - off} does not match "
-            f"{rows}x{cols} complex entries"
-        )
-    a = np.frombuffer(data, dtype="<c16", count=rows * cols, offset=off)
-    return a.reshape(rows, cols).astype(np.complex128)

@@ -121,13 +121,10 @@ def sample(model: NoiseModel, n: int, seed) -> np.ndarray:
     raise AssertionError(f"unhandled kind {model.kind}")  # pragma: no cover
 
 
-def corner_support(
-    n: int, d1: int, d2: int, transpose: bool = False
-) -> list[tuple[int, int]]:
+def corner_support(n: int, d1: int, d2: int) -> list[tuple[int, int]]:
     """0-based index pairs of the corner support for an N x N matrix:
     lower-left triangle of width d1 (row - col in {N-1, ..., N-d1}) plus
-    upper-right triangle of width d2.  ``transpose`` swaps the two corners
-    (orientation sensitivity experiments)."""
+    upper-right triangle of width d2, in sorted order."""
     if d1 < 0 or d2 < 0:
         raise ValueError("widths must be nonnegative")
     if n <= max(d1, d2):
@@ -139,8 +136,6 @@ def corner_support(
     for ell in range(1, d2 + 1):
         for i in range(ell):
             pairs.append((i, i + n - ell))
-    if transpose:
-        pairs = [(j, i) for (i, j) in pairs]
     return sorted(set(pairs))
 
 
@@ -157,23 +152,21 @@ def _check_corner(s: Symbol, n: int, gamma_star: float) -> None:
 
 
 def corner_entries(
-    s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
+    s: Symbol, n: int, gamma_star: float, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The random corner perturbation as (rows, cols, values): the sorted
     ``corner_support`` and N^{-gamma_star} * Uniform[1/2, 1] draws on it
     (preconditions: ``_check_corner``)."""
     _check_corner(s, n, gamma_star)
-    support = np.array(corner_support(n, s.d1, s.d2, transpose), dtype=np.intp).reshape(-1, 2)
+    support = np.array(corner_support(n, s.d1, s.d2), dtype=np.intp).reshape(-1, 2)
     rg = generator(seed)
     vals = float(n) ** (-gamma_star) * rg.uniform(0.5, 1.0, size=len(support))
     return support[:, 0], support[:, 1], vals
 
 
-def corner_delta(
-    s: Symbol, n: int, gamma_star: float, seed, transpose: bool = False
-) -> np.ndarray:
+def corner_delta(s: Symbol, n: int, gamma_star: float, seed) -> np.ndarray:
     """The dense N x N matrix of ``corner_entries``: zero off the corner support."""
-    rows, cols, vals = corner_entries(s, n, gamma_star, seed, transpose)
+    rows, cols, vals = corner_entries(s, n, gamma_star, seed)
     delta = np.zeros((n, n), dtype=complex)
     delta[rows, cols] = vals
     return delta

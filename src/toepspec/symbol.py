@@ -66,6 +66,16 @@ _MAX_ITER = 200
 _TOL_RESIDUAL = 1e-12
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer field's value: a bool, a non-number or a number with a
+    fractional part raises ValueError instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class RootFindingError(RuntimeError):
     """Root iteration failed to converge (typically a near-degenerate z)."""
 
@@ -152,9 +162,12 @@ class Symbol:
             data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError("symbol JSON must be an object")
+        extra = set(data) - {"d1", "d2", "coeffs"}
+        if extra:
+            raise ValueError(f"unknown symbol fields: {sorted(extra)}")
         try:
-            d1 = int(data["d1"])
-            d2 = int(data["d2"])
+            d1 = _json_int(data["d1"], "d1")
+            d2 = _json_int(data["d2"], "d2")
             coeffs = tuple(complex(float(re), float(im)) for re, im in data["coeffs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed symbol JSON: {exc}") from exc

@@ -1,17 +1,16 @@
 """Banded Toeplitz matrices and their determinant/trace identities.
 
-Builders for T_N and its z-shifted and band-shifted variants, the bidiagonal
-factorization check, exact word traces of mixed shift products, moment
-integrals against the symbol curve, and the closed-form determinant as a sum
-over root subsets (computed in log space so growth rates stay readable at
-any N).
+Builders for T_N, T_N(z) and the interleaved band of T_N(z) plus corner
+entries, the bidiagonal factorization check, exact word traces of mixed
+shift products, moment integrals against the symbol curve, and the
+closed-form determinant as a sum over root subsets (computed in log space
+so growth rates stay readable at any N).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -20,10 +19,8 @@ from .linalg import LOG_SINGULAR, LogDet
 from .symbol import Symbol, char_poly_coeffs, root_profile
 
 __all__ = [
-    "ShiftSpec",
     "build",
     "build_z",
-    "build_shifted",
     "interleaved_band",
     "bidiagonal_factor_check",
     "trace_word",
@@ -34,25 +31,6 @@ __all__ = [
 
 # Trapezoid nodes of moment_rhs's circle average.
 _MOMENT_NODES = 2**14
-
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Band split (dbar1, dbar2) with dbar1 + dbar2 equal to the symbol degree."""
-
-    dbar1: int
-    dbar2: int
-
-    def __post_init__(self):
-        if self.dbar1 < 0 or self.dbar2 < 0:
-            raise ValueError("band widths must be nonnegative")
-
-    def validate_for(self, s: Symbol) -> None:
-        if self.dbar1 + self.dbar2 != s.d:
-            raise ValueError(
-                f"shift spec ({self.dbar1}, {self.dbar2}) does not split "
-                f"the symbol degree {s.d}"
-            )
 
 
 def _fill_diagonal(t: np.ndarray, offset: int, value: complex) -> None:
@@ -131,37 +109,26 @@ def interleaved_band(
     return ab, kl, ku
 
 
-def build_shifted(s: Symbol, z: complex, spec: ShiftSpec, n: int) -> np.ndarray:
-    """Band-shifted variant: entry (i, j) = a'_{(j-i)+(d1-dbar1)} on the band
-    -dbar2 <= j-i <= dbar1, where a'_k = a_k - z [k=0]."""
-    spec.validate_for(s)
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    ap = char_poly_coeffs(s, z)
-    off = s.d1 - spec.dbar1
-    t = np.zeros((n, n), dtype=complex)
-    for delta in range(-spec.dbar2, spec.dbar1 + 1):
-        t_idx = delta + off + s.d2
-        _fill_diagonal(t, delta, ap[t_idx])
-    return t
-
-
 def bidiagonal_factor_check(s: Symbol, z: complex, n: int) -> float:
     """Max-entry defect of the bidiagonal factorization of the fully
-    upper-shifted matrix of size N + d2:
+    upper-shifted matrix of size N + d2, the upper-triangular Toeplitz
+    matrix T_{N+d2}(z; d, 0) whose k-th superdiagonal holds the coefficient
+    a'_k of lam^k in P(lam) (k = 0..d):
 
         T_{N+d2}(z; d, 0) = a'_{d1} * prod_l (J + lam_l Id).
 
     Returns the maximum absolute entrywise difference (0 up to roundoff)."""
     prof = root_profile(s, z)
     m = n + s.d2
-    lead = char_poly_coeffs(s, z)[-1]
-    prod = np.eye(m, dtype=complex) * lead
+    ap = char_poly_coeffs(s, z)
+    prod = np.eye(m, dtype=complex) * ap[-1]
     for lam in prof.roots:
         shifted = np.zeros_like(prod)
         shifted[:, 1:] = prod[:, :-1]
         prod = lam * prod + shifted
-    target = build_shifted(s, z, ShiftSpec(s.d, 0), m)
+    target = np.zeros((m, m), dtype=complex)
+    for k, c in enumerate(ap):
+        _fill_diagonal(target, k, c)
     return float(np.max(np.abs(prod - target)))
 
 

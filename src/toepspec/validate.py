@@ -6,9 +6,6 @@ covers the same ground with more granularity.
 
 from __future__ import annotations
 
-import math
-import os
-import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -20,16 +17,7 @@ from .expansion import (
     det_sum_decomposition,
     perm_sign,
 )
-from .linalg import (
-    eigenvalues,
-    haar_unitary,
-    hs_norm,
-    load_matrix,
-    lu_logdet,
-    op_norm_est,
-    save_matrix,
-    singular_values,
-)
+from .linalg import eigenvalues, haar_unitary, lu_logdet
 from .noise import NoiseModel, corner_support, sample
 from .symbol import Symbol, aberth_roots, char_poly_coeffs, region_labels
 from .toeplitz import build, build_z, moment_lhs, moment_rhs, trace_word, widom_sum
@@ -121,19 +109,6 @@ def run_checks() -> list[Check]:
             f"{mismatched}/{checked} nodes differ",
         )
     )
-
-    # --- singular values vs spectrum of M M*
-    m = rg.standard_normal((6, 6)) + 1j * rg.standard_normal((6, 6))
-    sv = singular_values(m)
-    ev = np.sort(eigenvalues(m @ m.conj().T).eigenvalues.real)[::-1]
-    err = float(np.max(np.abs(sv**2 - ev)))
-    checks.append(("singular values vs eig(M M*)", err < 1e-8, f"max err {err:.2e}"))
-
-    # --- operator norm / HS norm spot values
-    d = np.diag([1.0, 5.0]).astype(complex)
-    err = abs(op_norm_est(d) - 5.0)
-    ok = err < 1e-6 and abs(hs_norm(np.eye(9)) - 3.0) < 1e-12
-    checks.append(("norm estimates (diag, identity)", ok, f"op err {err:.2e}"))
 
     # --- haar unitarity
     u = haar_unitary(40, 7)
@@ -253,17 +228,5 @@ def run_checks() -> list[Check]:
     gn = sample(NoiseModel("gaussian_complex"), 50, 3)
     ok = ok and abs(float(np.mean(np.abs(gn) ** 2)) - 1.0) < 5 / 50
     checks.append(("corner support / noise normalization", ok, ""))
-
-    # --- CMAT1 round trip
-    m = rg.standard_normal((3, 4)) + 1j * rg.standard_normal((3, 4))
-    fd, path = tempfile.mkstemp(suffix=".cmat")
-    os.close(fd)
-    try:
-        save_matrix(m, path)
-        back = load_matrix(path)
-        ok = back.shape == (3, 4) and np.array_equal(back, m.astype(np.complex128))
-    finally:
-        os.unlink(path)
-    checks.append(("CMAT1 serialization round trip", ok, ""))
 
     return checks

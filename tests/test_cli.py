@@ -251,6 +251,13 @@ def test_unknown_config_field(tmp_path, capsys):
     assert "typo_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["trials=2.7", "trials=true", "seed=3.5", "sizes=[8.5]"])
+def test_set_with_a_non_integer_is_config_error(tmp_path, capsys, override):
+    cfg = write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg), "--set", override, "--dry-run"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def run_replace(cfg, out, *extra):
     argv = ["replace", "--config", str(cfg), "--z", "1,0", "--n", "40", "--out", str(out)]
     return main(argv + list(extra))

@@ -24,7 +24,6 @@ from toepspec import (
     corner_delta,
     dominance_report,
     energy_distance,
-    interval_mass_check,
     ks_distance,
     perturbation,
     run_esd,
@@ -76,6 +75,19 @@ def test_zgrid_json_roundtrip():
         ZGrid.from_json({"nothing": 1})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"points": [[0, 0]], "rect": [0, 1, 0, 1], "resolution": 5}, "exactly one"),
+        ({"rect": [0, 1, 0, 1], "resolutoin": 5}, r"unknown z_grid fields: \['resolutoin'\]"),
+        ({"points": [[0, 0]], "resolution": 5}, "takes no resolution"),
+    ],
+)
+def test_zgrid_json_rejects_what_it_would_drop(data, message):
+    with pytest.raises(ConfigError, match=message):
+        ZGrid.from_json(data)
+
+
 def test_config_validation(quad):
     with pytest.raises(ConfigError):
         tiny_config(quad, sizes=(12, 8))
@@ -92,12 +104,36 @@ def test_config_json_roundtrip(quad):
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
+    integral_floats = {"sizes": [8.0, 12.0], "trials": 2.0, "seed": 42.0}
+    assert ExperimentConfig.from_json({**cfg.to_json(), **integral_floats}) == cfg
 
 
 def test_config_rejects_unknown_fields(quad):
     data = tiny_config(quad).to_json()
     data["typo_field"] = 1
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("trials",), 2.7),
+        (("trials",), True),
+        (("sizes",), [8, 12.5]),
+        (("seed",), 3.5),
+        (("mu_samples",), "300"),
+        (("z_grid",), {"rect": [0, 1, 0, 1], "resolution": 7.9}),
+        (("symbol", "d1"), 1.6),
+    ],
+)
+def test_config_integer_fields_are_not_truncated(quad, path, value):
+    data = tiny_config(quad).to_json()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError, match="must be an integer"):
         ExperimentConfig.from_json(data)
 
 
@@ -199,40 +235,6 @@ def test_ks_distance_frozen_and_brute(rng):
     y = rng.standard_normal(53) + 0.3
     assert ks_distance(x, y) == pytest.approx(ks_brute(x, y), abs=1e-12)
     assert ks_distance(x, x) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Interval-mass bracket
-
-
-def test_interval_mass_bracket_holds(rng):
-    # The smoothed bracket is a deterministic inequality for any sample.
-    for _ in range(20):
-        s = np.abs(rng.standard_normal(int(rng.integers(5, 60))))
-        a = float(rng.uniform(-2.0, 0.5))
-        b = a + float(rng.uniform(0.3, 2.5))
-        rho = float(rng.uniform(0.02, 0.25)) * (b - a)
-        tau = float(rng.uniform(0.001, 0.1))
-        rec = interval_mass_check(s, a, b, tau, rho)
-        assert rec.lower - 1e-12 <= rec.mass <= rec.upper + 1e-12
-
-
-def test_interval_mass_tightens_as_tau_shrinks():
-    s = np.linspace(0.1, 2.0, 50)
-    wide = interval_mass_check(s, 0.5, 1.5, tau=0.2, rho=0.2)
-    tight = interval_mass_check(s, 0.5, 1.5, tau=0.002, rho=0.2)
-    assert (tight.upper - tight.lower) < (wide.upper - wide.lower)
-    assert tight.upper - tight.mass < 0.15
-
-
-def test_interval_mass_validation():
-    s = np.ones(3)
-    with pytest.raises(ValueError):
-        interval_mass_check(s, 0.0, 1.0, tau=-1.0, rho=0.1)
-    with pytest.raises(ValueError):
-        interval_mass_check(s, 0.0, 0.05, tau=0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        interval_mass_check(np.array([]), 0.0, 1.0, tau=0.1, rho=0.1)
 
 
 # ---------------------------------------------------------------------------

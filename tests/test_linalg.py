@@ -20,14 +20,10 @@ from toepspec import (
     eigenvalues,
     haar_unitary,
     hs_norm,
-    load_matrix,
     lu_det,
     lu_logdet,
-    op_norm_est,
-    save_matrix,
     singular_values,
     smin,
-    stieltjes,
     stieltjes_from_singvals,
 )
 from toepspec.linalg import as_matrix
@@ -274,13 +270,13 @@ def test_stieltjes_matches_direct_sum(rng):
     sv = np.linalg.svd(m, compute_uv=False)
     xi = 0.7 + 0.9j
     want = np.mean(0.5 / (xi - sv) + 0.5 / (xi + sv))
-    assert stieltjes(m, xi) == pytest.approx(want, rel=1e-8)
     assert stieltjes_from_singvals(sv, xi) == pytest.approx(want, rel=1e-12)
 
 
 def test_stieltjes_requires_offaxis_point(rng):
+    sv = np.linalg.svd(random_complex(rng, 4), compute_uv=False)
     with pytest.raises(ValueError):
-        stieltjes(random_complex(rng, 4), 1.0)
+        stieltjes_from_singvals(sv, 1.0)
     with pytest.raises(ValueError):
         stieltjes_from_singvals(np.array([]), 1j)
 
@@ -294,20 +290,8 @@ def test_hs_norm_matches_frobenius(rng):
     assert hs_norm(m) == pytest.approx(np.linalg.norm(m, "fro"), rel=1e-12)
 
 
-def test_op_norm_est_brackets_top_singular_value(rng):
-    for n in (5, 15, 30):
-        m = random_complex(rng, n)
-        top = float(np.linalg.svd(m, compute_uv=False)[0])
-        est = op_norm_est(m)
-        assert est == pytest.approx(top, rel=1e-12)
-
-
-def test_op_norm_est_zero_matrix():
-    assert op_norm_est(np.zeros((4, 4), dtype=complex)) == 0.0
-
-
 # ---------------------------------------------------------------------------
-# Haar sampling and matrix serialization
+# Haar sampling
 
 
 def test_haar_unitary_is_unitary():
@@ -320,20 +304,3 @@ def test_haar_unitary_seeding():
     a = haar_unitary(6, seed=1)
     assert np.array_equal(a, haar_unitary(6, seed=1))
     assert not np.array_equal(a, haar_unitary(6, seed=2))
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4, 4), (0, 0)])
-def test_matrix_io_roundtrip(rng, tmp_path, shape):
-    m = random_complex(rng, shape[0], shape[1]) if min(shape) else np.zeros(shape, complex)
-    path = tmp_path / "m.cmat"
-    save_matrix(m, path)
-    back = load_matrix(path)
-    assert back.shape == m.shape
-    assert np.array_equal(back, m)
-
-
-def test_load_matrix_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.cmat"
-    path.write_bytes(b"NOTME" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_matrix(path)

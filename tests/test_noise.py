@@ -10,7 +10,6 @@ from toepspec import (
     corner_delta,
     corner_entries,
     corner_support,
-    op_norm_est,
     sample,
     smin_tail_check,
 )
@@ -109,12 +108,6 @@ def test_corner_support_frozen(quad, tri):
     assert corner_support(6, tri.d1, tri.d2) == [(0, 5), (5, 0)]
 
 
-def test_corner_support_transpose():
-    plain = corner_support(8, 2, 1)
-    flipped = corner_support(8, 2, 1, transpose=True)
-    assert sorted((j, i) for i, j in plain) == flipped
-
-
 def test_corner_support_validation():
     with pytest.raises(ValueError):
         corner_support(2, 2, 0)  # too small for the band width
@@ -137,17 +130,21 @@ def test_corner_delta_entries(quad):
 @pytest.mark.parametrize("transpose", [False, True])
 def test_corner_delta_is_the_per_entry_scatter_of_its_stream(coeffs, d1, d2, transpose):
     # The stream and the values are fixed: one Uniform[1/2, 1] draw per
-    # support pair, in sorted pair order, scaled by N^{-gamma*}.
-    s = Symbol(coeffs, d1, d2)
+    # support pair, in sorted pair order, scaled by N^{-gamma*}.  The
+    # transposed corners are the corners of the swapped widths (d2, d1),
+    # and the support is all the symbol contributes.
+    s = Symbol((1.0,) * len(coeffs), d2, d1) if transpose else Symbol(coeffs, d1, d2)
     for n, seed in ((4, 0), (9, 7), (31, 123456789)):
-        support = corner_support(n, d1, d2, transpose)
+        support = corner_support(n, s.d1, s.d2)
+        if transpose:
+            assert support == sorted((j, i) for i, j in corner_support(n, d1, d2))
         vals = float(n) ** -4.5 * generator(seed).uniform(0.5, 1.0, size=len(support))
         want = np.zeros((n, n), dtype=complex)
         for (i, j), v in zip(support, vals):
             want[i, j] = v
-        got = corner_delta(s, n, 4.5, seed, transpose)
+        got = corner_delta(s, n, 4.5, seed)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        rows, cols, entries = corner_entries(s, n, 4.5, seed, transpose)
+        rows, cols, entries = corner_entries(s, n, 4.5, seed)
         assert list(zip(rows.tolist(), cols.tolist())) == support
         assert entries.tobytes() == vals.tobytes()
 
@@ -164,7 +161,18 @@ def test_corner_delta_norm_bound(quad):
     # norm obeys the same polynomial envelope.
     n, gs = 30, 3.0
     delta = corner_delta(quad, n, gs, seed=2)
-    assert op_norm_est(delta) <= quad.d * float(n) ** (-gs)
+    assert np.linalg.norm(delta, 2) <= quad.d * float(n) ** (-gs)
+
+
+def test_corner_orientation_is_not_a_parameter(quad):
+    # The transposed corners are those of the swapped widths (d2, d1).
+    for call in (
+        lambda: corner_support(8, 2, 1, transpose=True),
+        lambda: corner_entries(quad, 8, 3.0, 0, transpose=True),
+        lambda: corner_delta(quad, 8, 3.0, 0, transpose=True),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_corner_delta_validation(quad):
@@ -172,15 +180,6 @@ def test_corner_delta_validation(quad):
         corner_delta(quad, 20, gamma_star=2.0, seed=0)  # needs gamma_star > d
     with pytest.raises(ValueError):
         corner_delta(quad, 2, gamma_star=3.0, seed=0)
-
-
-def test_corner_delta_transpose_flag(quad):
-    a = corner_delta(quad, 12, 3.0, seed=1)
-    b = corner_delta(quad, 12, 3.0, seed=1, transpose=True)
-    assert np.array_equal(np.sort(a[a != 0]), np.sort(b[b != 0]))
-    assert {(j, i) for i, j in zip(*np.nonzero(a))} == set(
-        zip(*np.nonzero(b))
-    )
 
 
 # ---------------------------------------------------------------------------

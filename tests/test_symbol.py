@@ -103,8 +103,22 @@ def test_symbol_json_roundtrip(quad, tri):
     for s in (quad, tri):
         back = Symbol.from_json(s.to_json())
         assert back == s
+    assert Symbol.from_json({**quad.to_json(), "d1": 2.0}) == quad
     with pytest.raises((KeyError, TypeError, ValueError)):
         Symbol.from_json({"d1": 1})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"d1": 1.6}, "d1 must be an integer"),
+        ({"d2": True}, "d2 must be an integer"),
+        ({"name": "quad"}, r"unknown symbol fields: \['name'\]"),
+    ],
+)
+def test_symbol_json_rejects_truncation_and_unknown_fields(quad, edit, message):
+    with pytest.raises(ValueError, match=message):
+        Symbol.from_json({**quad.to_json(), **edit})
 
 
 # ---------------------------------------------------------------------------

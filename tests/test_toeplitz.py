@@ -1,5 +1,5 @@
-"""Toeplitz construction, shifted factor checks, word traces, moments,
-and the exact determinant sum.
+"""Toeplitz construction, the bidiagonal factorization check, word traces,
+moments, and the exact determinant sum.
 """
 
 import math
@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import random_complex, random_symbol_and_zs
 from toepspec import (
-    ShiftSpec,
     Symbol,
     band_logdet,
     bidiagonal_factor_check,
     build,
-    build_shifted,
     build_z,
     classify_region,
     corner_delta,
@@ -74,27 +72,6 @@ def test_build_z_shifts_diagonal(quad, tri):
     z = 0.3 - 1.1j
     for s in (quad, tri):
         assert np.allclose(build_z(s, z, 6), build(s, 6) - z * np.eye(6))
-
-
-def test_build_shifted_identity_split(quad, tri):
-    z = 1.7 + 0.2j
-    for s in (quad, tri):
-        spec = ShiftSpec(s.d1, s.d2)
-        assert np.array_equal(build_shifted(s, z, spec, 7), build_z(s, z, 7))
-
-
-def test_shift_spec_validation(quad):
-    with pytest.raises(ValueError):
-        ShiftSpec(-1, 2)
-    with pytest.raises(ValueError):
-        ShiftSpec(1, 0).validate_for(quad)  # splits degree 1, symbol degree 2
-    ShiftSpec(2, 0).validate_for(quad)
-
-
-def test_build_shifted_full_lower(quad):
-    # The (0, d) split pushes every band at or below the main diagonal.
-    m = build_shifted(quad, 0.5, ShiftSpec(0, 2), 6)
-    assert np.abs(np.triu(m, 1)).max() == 0.0
 
 
 def test_bidiagonal_factorization_defect(quad, tri, rng):
@@ -306,9 +283,11 @@ def band_to_dense(ab, kl):
 def test_interleaved_band_is_the_permuted_matrix(d1, d2, transpose):
     s, zs = random_symbol_and_zs(d1, d2, 11 * d1 + d2)
     for n in (max(d1, d2) + 1, 6, 9):
-        entries = corner_entries(s, n, s.d + 1.0, seed=n, transpose=transpose)
-        delta = corner_delta(s, n, s.d + 1.0, seed=n, transpose=transpose)
-        ab, kl, ku = interleaved_band(s, zs, n, *entries)
+        rows, cols, vals = corner_entries(s, n, s.d + 1.0, seed=n)
+        delta = corner_delta(s, n, s.d + 1.0, seed=n)
+        if transpose:
+            rows, cols, delta = cols, rows, delta.T
+        ab, kl, ku = interleaved_band(s, zs, n, rows, cols, vals)
         assert ab.shape == (len(zs), n, kl + ku + 1)
         assert max(kl, ku) <= 2 * max(d1, d2)
         p = interleave(n)
@@ -348,9 +327,11 @@ def test_band_logdet_matches_lu_logdet_over_random_symbols(d1, d2, seed, n, tran
     # a worst relative gap of 1.1e-13 on the kept ones.
     assume(1 <= d1 + d2 and n > max(d1, d2))
     s, zs = random_symbol_and_zs(d1, d2, seed)
-    entries = corner_entries(s, n, s.d + 1.0, seed, transpose)
-    delta = corner_delta(s, n, s.d + 1.0, seed, transpose)
-    ab, kl, ku = interleaved_band(s, zs, n, *entries)
+    rows, cols, vals = corner_entries(s, n, s.d + 1.0, seed)
+    delta = corner_delta(s, n, s.d + 1.0, seed)
+    if transpose:
+        rows, cols, delta = cols, rows, delta.T
+    ab, kl, ku = interleaved_band(s, zs, n, rows, cols, vals)
     assert max(kl, ku) <= 2 * max(d1, d2)
     for z, got in zip(zs, band_logdet(ab, kl, ku)):
         a = build_z(s, z, n) + delta
