@@ -23,8 +23,8 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ZGrid,
     _dumps,
+    _esd_inputs,
     _expansion_inputs,
     _hash,
     _logpot_inputs,
@@ -106,13 +106,15 @@ def _apply_overrides(data: dict, sets: list[str]) -> None:
         node[keys[-1]] = value
 
 
-def _load_config(args, parse=ExperimentConfig.from_json):
-    """The ``--config`` JSON after ``--set`` and ``--seed``, read by ``parse``."""
+def _load_config(args) -> ExperimentConfig:
+    """The ``--config`` JSON after ``--set`` and ``--seed``."""
     data = _load_json_arg(args.config)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     _apply_overrides(data, args.set or [])
     if args.seed is not None:
         data["seed"] = args.seed
-    return parse(data)
+    return ExperimentConfig.from_json(data)
 
 
 # The line each run subcommand prints per summary row.
@@ -173,7 +175,7 @@ def _common_run_flags(p: argparse.ArgumentParser, cmd) -> None:
 
 def _cmd_spectrum(args):
     config = _load_config(args)
-    return ExperimentConfig.to_json, run_esd, (config,), config.outputs
+    return _esd_inputs, run_esd, (config,), config.outputs
 
 
 def _cmd_regions(args):
@@ -183,12 +185,11 @@ def _cmd_regions(args):
     if args.config:
         if any(v is not None for v in grid_flags):
             raise ConfigError("regions takes --config or --symbol/--rect/--resolution, not both")
-        data = _load_config(args, ExperimentConfig.fields_of)
-        grid = ZGrid.from_json(data.get("z_grid"))
-        if grid.rect is None:
+        config = _load_config(args)
+        grid = config.z_grid
+        if grid is None or grid.rect is None:
             raise ConfigError("regions needs a rect z_grid in the config")
-        run_args = (Symbol.from_json(data.get("symbol")), grid.rect, grid.resolution)
-        outputs = data.get("outputs")
+        run_args, outputs = (config.symbol, grid.rect, grid.resolution), config.outputs
     else:
         if any(v is None for v in grid_flags):
             raise ConfigError("regions needs --config or --symbol/--rect/--resolution")
@@ -205,6 +206,8 @@ def _cmd_logpot(args):
 
 def _cmd_replace(args):
     config = _load_config(args)
+    if args.n is None and config.sizes is None:
+        raise ConfigError("replace needs --n or the config field sizes")
     n = args.n if args.n is not None else config.sizes[-1]
     model_b = (
         NoiseModel.from_json(_load_json_arg(args.noise_b)) if args.noise_b else config.noise
@@ -216,7 +219,7 @@ def _cmd_replace(args):
 def _cmd_expand(args):
     s = Symbol.from_json(_load_json_arg(args.symbol))
     gamma_star = args.gamma_star if args.gamma_star is not None else s.d + 1.0
-    sizes = args.sizes.split(",")
+    sizes = [float(t) for t in args.sizes.split(",")]
     run_args = (s, _parse_complex(args.z), sizes, args.draws, gamma_star, args.seed or 0)
     return _expansion_inputs, run_expansion, run_args, None
 

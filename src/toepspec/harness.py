@@ -4,9 +4,9 @@ Every runner lives here.  Each derives all randomness from its seed through
 keyed Philox streams and returns a RunArtifact holding per-cell records,
 summaries, and ``inputs``: the JSON echo of everything the run computed from,
 which also gives the artifact its config hash and seed (the output directory
-is not an input).  A runner's first step, ``_<kind>_inputs``
-(``ExperimentConfig.to_json`` for run_esd), checks its arguments and returns
-that echo; the CLI's dry run calls the same step.  Artifacts serialize to
+is not an input).  A runner's first step, ``_<kind>_inputs``, checks its
+arguments and returns that echo, with only the config fields the runner
+reads; the CLI's dry run calls the same step.  Artifacts serialize to
 JSONL/CSV (and optional static SVG) with canonical, byte-stable formatting:
 the same inputs give identical files.
 
@@ -44,7 +44,8 @@ from .linalg import (
 )
 from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, corner_support, sample
 from .symbol import (
-    BOUNDARY, Symbol, _json_int, classify_region, limit_logpot, region_labels, sample_mu_a,
+    BOUNDARY, Symbol, _json_float, _json_int, classify_region, limit_logpot, region_labels,
+    sample_mu_a,
 )
 from .toeplitz import build, build_z, interleaved_band
 
@@ -85,6 +86,8 @@ class ZGrid:
     def __post_init__(self):
         if (self.points is None) == (self.rect is None):
             raise ConfigError("z_grid needs exactly one of 'points' or 'rect'")
+        if self.resolution is not None:
+            object.__setattr__(self, "resolution", _json_int(self.resolution, "z_grid resolution"))
         if self.rect is not None:
             if self.resolution is None or self.resolution < 2:
                 raise ConfigError("rect z_grid needs resolution >= 2")
@@ -112,11 +115,9 @@ class ZGrid:
         pts, rect, res = (data.get(k) for k in ("points", "rect", "resolution"))
         try:
             if pts is not None:
-                pts = tuple(complex(float(re), float(im)) for re, im in pts)
+                pts = tuple(complex(_json_float(re, "z"), _json_float(im, "z")) for re, im in pts)
             if rect is not None:
-                rect = tuple(float(v) for v in rect)
-            if res is not None:
-                res = _json_int(res, "z_grid resolution")
+                rect = tuple(_json_float(v, "rect entry") for v in rect)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed z_grid: {exc}") from exc
         if rect is not None and len(rect) != 4:
@@ -126,87 +127,85 @@ class ZGrid:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Only ``symbol`` is required.  Each field present is checked on its own;
+    a runner requires and echoes just the fields it reads (``_config_inputs``)."""
+
     symbol: Symbol
-    sizes: tuple[int, ...]
-    gamma: float
-    noise: NoiseModel
-    trials: int
-    z_grid: ZGrid
+    sizes: tuple[int, ...] | None = None
+    gamma: float | None = None
+    noise: NoiseModel | None = None
+    trials: int | None = None
+    z_grid: ZGrid | None = None
     mu_samples: int = 10000
     seed: int = 0
     outputs: str | None = None
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ConfigError("sizes must be a nonempty list of positive ints")
-        if list(sizes) != sorted(set(sizes)):
-            raise ConfigError("sizes must be strictly increasing")
-        object.__setattr__(self, "sizes", sizes)
-        if not self.gamma > 0.5:
-            raise ConfigError("gamma must exceed 1/2")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.mu_samples < 1:
-            raise ConfigError("mu_samples must be >= 1")
-        if self.noise.kind == "corner_delta":
-            _check_corner(self.symbol, sizes[0], self.noise.gamma_star)
+        if self.sizes is not None:
+            sizes = tuple(_json_int(n, "sizes entry") for n in self.sizes)
+            if not sizes or any(n < 1 for n in sizes):
+                raise ConfigError("sizes must be a nonempty list of positive ints")
+            if list(sizes) != sorted(set(sizes)):
+                raise ConfigError("sizes must be strictly increasing")
+            object.__setattr__(self, "sizes", sizes)
+        for name in ("trials", "mu_samples", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _json_int(getattr(self, name), name))
+                if name != "seed" and getattr(self, name) < 1:
+                    raise ConfigError(f"{name} must be >= 1")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", _json_float(self.gamma, "gamma"))
+            if not self.gamma > 0.5:
+                raise ConfigError("gamma must exceed 1/2")
+        if not isinstance(self.outputs, (str, type(None))):
+            raise ConfigError(f"outputs must be a string, got {self.outputs!r}")
 
     def to_json(self) -> dict:
-        """Everything a run computes from; ``outputs`` (where it writes) is left out."""
-        return {
+        """The fields present; ``outputs`` (where a run writes) is left out."""
+        out = {
             "symbol": self.symbol.to_json(),
-            "sizes": list(self.sizes),
+            "sizes": self.sizes and list(self.sizes),
             "gamma": self.gamma,
-            "noise": self.noise.to_json(),
+            "noise": self.noise and self.noise.to_json(),
             "trials": self.trials,
-            "z_grid": self.z_grid.to_json(),
+            "z_grid": self.z_grid and self.z_grid.to_json(),
             "mu_samples": self.mu_samples,
             "seed": self.seed,
         }
-
-    @staticmethod
-    def fields_of(data) -> dict:
-        """A config's JSON object, parsed if given as text, with no unknown field."""
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        extra = set(data) - {f.name for f in fields(ExperimentConfig)}
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        return data
+        return {k: v for k, v in out.items() if v is not None}
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
-        data = cls.fields_of(data)
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        extra = set(data) - {f.name for f in fields(cls)}
+        if extra:
+            raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        if "symbol" not in data:
+            raise ConfigError("config missing field: 'symbol'")
+        nulls = sorted(k for k, v in data.items() if v is None)
+        if nulls:
+            raise ConfigError(f"config fields may not be null: {nulls}")
+        read = {"symbol": Symbol.from_json, "noise": NoiseModel.from_json, "z_grid": ZGrid.from_json}
         try:
-            defaulted = {k: _json_int(data[k], k) for k in ("mu_samples", "seed") if k in data}
-            return cls(
-                symbol=Symbol.from_json(data["symbol"]),
-                sizes=tuple(_json_int(n, "sizes entry") for n in data["sizes"]),
-                gamma=float(data["gamma"]),
-                noise=NoiseModel.from_json(data["noise"]),
-                trials=_json_int(data["trials"], "trials"),
-                z_grid=ZGrid.from_json(data["z_grid"]),
-                outputs=data.get("outputs"),
-                **defaulted,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config missing field: {exc}") from exc
+            return cls(**{k: read.get(k, lambda v: v)(v) for k, v in data.items()})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(str(exc)) from exc
 
-    def canonical_json(self) -> str:
-        return _dumps(self.to_json())
 
-    def config_hash(self) -> str:
-        return _hash(self.to_json())
+def _config_inputs(config: ExperimentConfig, runner: str, names) -> dict:
+    """The echo of exactly the config fields ``names``, which ``runner``
+    reads.  Any of them missing is an error, and a runner that reads both
+    the noise and the sizes has a corner noise checked at the smallest size."""
+    echo = config.to_json()
+    missing = [k for k in names if k not in echo]
+    if missing:
+        raise ConfigError(f"{runner} needs config field(s) {missing}")
+    if {"noise", "sizes"} <= set(names) and config.noise.kind == "corner_delta":
+        _check_corner(config.symbol, config.sizes[0], config.noise.gamma_star)
+    return {k: echo[k] for k in names}
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +414,16 @@ def perturbation(s: Symbol, model: NoiseModel, gamma: float, n: int, seed) -> np
     return float(n) ** (-gamma) * sample(model, n, seed)
 
 
+def _esd_inputs(config: ExperimentConfig) -> dict:
+    """run_esd's inputs echo."""
+    names = ("symbol", "sizes", "gamma", "noise", "trials", "mu_samples", "seed")
+    return _config_inputs(config, "spectrum", names)
+
+
 def run_esd(config: ExperimentConfig) -> RunArtifact:
     """Empirical spectra of T_N + N^{-gamma} E across sizes and trials, with
     energy distance to a fixed sample of the symbol curve measure."""
+    inputs = _esd_inputs(config)
     s = config.symbol
     root = seed_sequence(config.seed)
     mu = sample_mu_a(s, config.mu_samples, seed_sequence(root, DOMAIN_MU))
@@ -455,7 +461,7 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
                 "converged_fraction": float(np.mean(conv)),
             }
         )
-    art = RunArtifact("esd", config.to_json(), records, summary)
+    art = RunArtifact("esd", inputs, records, summary)
     big_n = config.sizes[-1]
     first = next(r for r in records if r["n"] == big_n and r["trial"] == 0)
     eig_pts = np.array([complex(re, im) for re, im in first["eigenvalues"]])
@@ -520,15 +526,17 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
 
 
 def _logpot_inputs(config: ExperimentConfig, z_list=None) -> dict:
-    """run_logpot's inputs echo: the config with ``z_grid`` set to the z
-    values it evaluates (``z_list``, else the config's point list), each
-    checked to lie off the region boundary."""
+    """run_logpot's inputs echo: the config fields it reads, and ``z_grid``
+    set to the z values it evaluates (``z_list``, else the config's point
+    list), each checked to lie off the region boundary."""
+    names = ("symbol", "sizes", "gamma", "noise", "trials", "seed")
+    inputs = _config_inputs(config, "logpot", names)
     if z_list is None:
-        if config.z_grid.points is None:
-            raise ConfigError("logpot needs an explicit z point list")
+        if config.z_grid is None or config.z_grid.points is None:
+            raise ConfigError("logpot needs a z list or a points z_grid")
         z_list = config.z_grid.points
     points = tuple(_off_boundary(config.symbol, z) for z in z_list)
-    return {**config.to_json(), "z_grid": ZGrid(points=points).to_json()}
+    return {**inputs, "z_grid": ZGrid(points=points).to_json()}
 
 
 def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
@@ -596,14 +604,16 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
 def _replacement_inputs(
     config: ExperimentConfig, z: complex, n: int, model_b: NoiseModel
 ) -> dict:
-    """run_replacement's inputs echo: the config plus ``z``, ``n`` and the
-    second ensemble, after checking ``n`` against both ensembles."""
+    """run_replacement's inputs echo: the config fields it reads plus ``z``,
+    ``n`` and the second ensemble, after checking ``n`` against both
+    ensembles."""
+    inputs = _config_inputs(config, "replace", ("symbol", "gamma", "noise", "trials", "seed"))
     if n < 1:
         raise ConfigError("n must be >= 1")
     for model in (config.noise, model_b):
         if model.kind == "corner_delta":
             _check_corner(config.symbol, n, model.gamma_star)
-    return {**config.to_json(), "z": _cpair(z), "n": n, "noise_b": model_b.to_json()}
+    return {**inputs, "z": _cpair(z), "n": n, "noise_b": model_b.to_json()}
 
 
 def run_replacement(
@@ -698,7 +708,11 @@ def _expansion_inputs(
 ) -> dict:
     """run_expansion's inputs echo, after checking the sizes and draws, that
     z lies off the region boundary and that the corners fit every size."""
-    sizes = [int(n) for n in sizes]
+    try:
+        sizes = [_json_int(n, "sizes entry") for n in sizes]
+        draws = _json_int(draws, "draws")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not sizes or any(n < 1 for n in sizes):
         raise ConfigError("sizes must be a nonempty list of positive ints")
     if draws < 1:

@@ -8,7 +8,6 @@ lower-left / upper-right corners of widths d1 and d2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from ._rng import generator, seed_sequence
 from .linalg import as_matrix, haar_unitary, smin
-from .symbol import Symbol
+from .symbol import Symbol, _json_float
 
 __all__ = [
     "KINDS",
@@ -74,21 +73,18 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, data) -> "NoiseModel":
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError("noise JSON must be an object")
         known = {"kind", "p", "gamma_star"}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown noise fields: {sorted(extra)}")
+        p, gstar = (data.get(k) for k in ("p", "gamma_star"))
         try:
             return cls(
                 kind=str(data["kind"]),
-                p=None if data.get("p") is None else float(data["p"]),
-                gamma_star=(
-                    None if data.get("gamma_star") is None else float(data["gamma_star"])
-                ),
+                p=None if p is None else _json_float(p, "noise p"),
+                gamma_star=None if gstar is None else _json_float(gstar, "noise gamma_star"),
             )
         except KeyError as exc:
             raise ValueError(f"noise JSON missing field: {exc}") from exc

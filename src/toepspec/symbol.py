@@ -18,8 +18,8 @@ symbol's curve measure mu_a evaluates in closed form from the same roots.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +69,19 @@ _TOL_RESIDUAL = 1e-12
 def _json_int(value, name: str) -> int:
     """A JSON integer field's value: a bool, a non-number or a number with a
     fractional part raises ValueError instead of being truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_float(value, name: str) -> float:
+    """A JSON number field's value as a float: a bool or a non-number raises
+    ValueError instead of being read as 1.0 or parsed from text."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class RootFindingError(RuntimeError):
@@ -157,9 +165,7 @@ class Symbol:
 
     @classmethod
     def from_json(cls, data) -> "Symbol":
-        """Build from a dict or JSON text: {"d1":., "d2":., "coeffs":[[re,im],..]}."""
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
+        """Build from a JSON object: {"d1":., "d2":., "coeffs":[[re,im],..]}."""
         if not isinstance(data, dict):
             raise ValueError("symbol JSON must be an object")
         extra = set(data) - {"d1", "d2", "coeffs"}
@@ -168,7 +174,10 @@ class Symbol:
         try:
             d1 = _json_int(data["d1"], "d1")
             d2 = _json_int(data["d2"], "d2")
-            coeffs = tuple(complex(float(re), float(im)) for re, im in data["coeffs"])
+            coeffs = tuple(
+                complex(_json_float(re, "coeff"), _json_float(im, "coeff"))
+                for re, im in data["coeffs"]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed symbol JSON: {exc}") from exc
         return cls(coeffs, d1, d2)

@@ -11,7 +11,7 @@ from toepspec.harness import ExperimentConfig
 QUAD_JSON = {"coeffs": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], "d1": 2, "d2": 0}
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, drop=(), **overrides):
     data = {
         "symbol": QUAD_JSON,
         "sizes": [8, 12],
@@ -23,6 +23,8 @@ def write_config(tmp_path, **overrides):
         "seed": 7,
     }
     data.update(overrides)
+    for name in drop:
+        del data[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
@@ -386,8 +388,14 @@ def quad_flags(*extra):
     return ["--symbol", json.dumps(QUAD_JSON), *extra]
 
 
-def config_flag(tmp_path, **overrides):
-    return ["--config", str(write_config(tmp_path, **overrides))]
+def config_flag(tmp_path, drop=(), **overrides):
+    return ["--config", str(write_config(tmp_path, drop, **overrides))]
+
+
+def list_file(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    return str(path)
 
 
 # Inputs that the run rejects, by name: argv builders taking tmp_path.
@@ -406,12 +414,42 @@ BAD_INPUTS = {
     "replace-corner-noise-b": lambda p: [
         "replace", *config_flag(p), "--z", "1", "--noise-b", json.dumps(CORNER_NOISE)
     ],
+    "expand-size-fraction": lambda p: ["expand", *quad_flags("--z", "3", "--sizes", "10.9")],
+    "config-not-object": lambda p: ["spectrum", "--config", list_file(p), "--seed", "3"],
+    "spectrum-no-sizes": lambda p: ["spectrum", *config_flag(p, drop=["sizes"])],
+    "logpot-no-sizes": lambda p: ["logpot", *config_flag(p, drop=["sizes"])],
+    "logpot-no-z-list": lambda p: ["logpot", *config_flag(p, drop=["z_grid"])],
+    "replace-no-n-no-sizes": lambda p: ["replace", *config_flag(p, drop=["sizes"]), "--z", "1"],
+    "outputs-number": lambda p: ["spectrum", *config_flag(p, outputs=5)],
+    "gamma-bool": lambda p: ["spectrum", *config_flag(p, gamma=True)],
+    "noise-p-bool": lambda p: [
+        "spectrum", *config_flag(p, noise={"kind": "sparse_bernoulli_gaussian", "p": True})
+    ],
+    "gamma-star-bool": lambda p: [
+        "logpot", *config_flag(p, sizes=[8], noise={**CORNER_NOISE, "gamma_star": True})
+    ],
+}
+
+# The error of the cases above that leave a field out or give it the wrong
+# type: it names the field, and the runner that needs a missing one.
+ERROR_TEXT = {
+    "expand-size-fraction": "sizes entry must be an integer, got 10.9",
+    "config-not-object": "config must be a JSON object",
+    "spectrum-no-sizes": "spectrum needs config field(s) ['sizes']",
+    "logpot-no-sizes": "logpot needs config field(s) ['sizes']",
+    "logpot-no-z-list": "logpot needs a z list or a points z_grid",
+    "replace-no-n-no-sizes": "replace needs --n or the config field sizes",
+    "outputs-number": "outputs must be a string, got 5",
+    "gamma-bool": "gamma must be a number, got True",
+    "noise-p-bool": "noise p must be a number, got True",
+    "gamma-star-bool": "noise gamma_star must be a number, got True",
 }
 
 # One good input per run subcommand, small enough to run in a test.
 GOOD_INPUTS = {
     "spectrum": lambda p: ["spectrum", *config_flag(p, sizes=[8], trials=1, mu_samples=100)],
     "regions": lambda p: ["regions", *quad_flags("--rect=-2.5,3.5,-3,3", "--resolution", "5")],
+    "regions-config": lambda p: ["regions", *config_flag(p, z_grid=REGION_GRID)],
     "logpot": lambda p: ["logpot", *config_flag(p, trials=1), "--z=-0.1"],
     "replace": lambda p: ["replace", *config_flag(p, sizes=[16], trials=1), "--z", "1"],
     "expand": lambda p: ["expand", *quad_flags("--z", "1", "--sizes", "6", "--draws", "2")],
@@ -431,6 +469,48 @@ def assert_rejected_alike(argv, out, capsys):
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, case):
     assert_rejected_alike(BAD_INPUTS[case](tmp_path), tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("case", list(ERROR_TEXT))
+def test_rejection_names_the_field(tmp_path, capsys, case):
+    assert main(BAD_INPUTS[case](tmp_path) + ["--dry-run"]) == 2
+    assert ERROR_TEXT[case] in capsys.readouterr().err
+
+
+# Per run subcommand: its argv after --config, its base z_grid (logpot needs
+# points, regions a rect) and the config fields it reads.
+POINTS = {"points": [[3.0, 0.0], [1.0, 0.0]]}
+HASH_CASES = {
+    "spectrum": ([], POINTS, {"symbol", "sizes", "gamma", "noise", "trials", "mu_samples", "seed"}),
+    "logpot": ([], POINTS, {"symbol", "sizes", "gamma", "noise", "trials", "seed", "z_grid"}),
+    "replace": (["--z", "1", "--n", "16"], POINTS, {"symbol", "gamma", "noise", "trials", "seed"}),
+    "regions": ([], REGION_GRID, {"symbol", "z_grid"}),
+}
+# A second valid value for every config field but z_grid.
+FIELD_CHANGES = {
+    "symbol": {**QUAD_JSON, "coeffs": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]},
+    "sizes": [8, 16],
+    "gamma": 0.8,
+    "noise": {"kind": "rademacher"},
+    "trials": 3,
+    "mu_samples": 300,
+    "seed": 8,
+    "outputs": "runs/elsewhere",
+}
+
+
+@pytest.mark.parametrize("field", [*FIELD_CHANGES, "z_grid"])
+@pytest.mark.parametrize("command", list(HASH_CASES))
+def test_hash_changes_with_exactly_the_fields_read(tmp_path, capsys, command, field):
+    extra, grid, reads = HASH_CASES[command]
+    other_grid = {**grid, "resolution": 4} if "rect" in grid else {"points": [[3.0, 0.0]]}
+    changes = {**FIELD_CHANGES, "z_grid": other_grid}
+    hashes = []
+    for edit in ({}, {field: changes[field]}):
+        argv = [command, *config_flag(tmp_path, **{"z_grid": grid, **edit}), *extra]
+        assert main(argv + ["--dry-run"]) == 0
+        hashes.append(dry_run_plan(capsys)[0])
+    assert (hashes[0] != hashes[1]) == (field in reads)
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

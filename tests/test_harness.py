@@ -81,6 +81,8 @@ def test_zgrid_json_roundtrip():
         ({"points": [[0, 0]], "rect": [0, 1, 0, 1], "resolution": 5}, "exactly one"),
         ({"rect": [0, 1, 0, 1], "resolutoin": 5}, r"unknown z_grid fields: \['resolutoin'\]"),
         ({"points": [[0, 0]], "resolution": 5}, "takes no resolution"),
+        ({"points": [[True, 0]]}, "z must be a number, got True"),
+        ({"rect": ["0", 1, 0, 1], "resolution": 5}, "rect entry must be a number"),
     ],
 )
 def test_zgrid_json_rejects_what_it_would_drop(data, message):
@@ -103,7 +105,7 @@ def test_config_json_roundtrip(quad):
     cfg = tiny_config(quad)
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
-    assert back.config_hash() == cfg.config_hash()
+    assert harness._esd_inputs(back) == harness._esd_inputs(cfg)
     integral_floats = {"sizes": [8.0, 12.0], "trials": 2.0, "seed": 42.0}
     assert ExperimentConfig.from_json({**cfg.to_json(), **integral_floats}) == cfg
 
@@ -137,22 +139,53 @@ def test_config_integer_fields_are_not_truncated(quad, path, value):
         ExperimentConfig.from_json(data)
 
 
+def test_config_needs_only_the_symbol_and_checks_what_is_present(quad):
+    cfg = ExperimentConfig.from_json({"symbol": quad.to_json()})
+    assert cfg.to_json() == {"symbol": quad.to_json(), "mu_samples": 10000, "seed": 0}
+    with pytest.raises(ConfigError, match=r"spectrum needs config field\(s\) \['sizes'"):
+        run_esd(cfg)
+    with pytest.raises(ConfigError, match="may not be null"):
+        ExperimentConfig.from_json({"symbol": quad.to_json(), "sizes": None})
+    # The constructor applies the integer rule too, instead of truncating.
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentConfig(quad, sizes=(10.9,))
+    assert ExperimentConfig(quad, sizes=np.array([8, 12]), trials=np.int64(2)).sizes == (8, 12)
+
+
+@pytest.mark.parametrize(
+    "reader, data",
+    [
+        (ExperimentConfig.from_json, '{"symbol": {"d1": 1, "d2": 0, "coeffs": [[0, 0], [1, 0]]}}'),
+        (Symbol.from_json, '{"d1": 1, "d2": 0, "coeffs": [[0, 0], [1, 0]]}'),
+        (NoiseModel.from_json, '{"kind": "rademacher"}'),
+    ],
+)
+def test_json_readers_take_parsed_objects_only(reader, data):
+    with pytest.raises(ValueError, match="must be .*object"):
+        reader(data)
+
+
+def esd_hash(cfg):
+    return harness._hash(harness._esd_inputs(cfg))
+
+
 def test_config_hash_is_canonical(quad):
     cfg = tiny_config(quad)
-    h = cfg.config_hash()
+    h = esd_hash(cfg)
     assert len(h) == 16 and all(c in "0123456789abcdef" for c in h)
-    assert tiny_config(quad, seed=43).config_hash() != h
+    assert esd_hash(tiny_config(quad, seed=43)) != h
     # Canonical form is key-sorted with no whitespace.
-    s = cfg.canonical_json()
+    s = harness._dumps(harness._esd_inputs(cfg))
     assert " " not in s
-    assert json.loads(s) == cfg.to_json()
+    assert json.loads(s) == harness._esd_inputs(cfg)
+    assert list(json.loads(s)) == sorted(json.loads(s))
 
 
 def test_config_hash_ignores_outputs(quad):
     cfg = tiny_config(quad, outputs="runs/a")
-    assert cfg.config_hash() == tiny_config(quad, outputs="runs/b").config_hash()
-    assert cfg.config_hash() == tiny_config(quad).config_hash()
-    assert "outputs" not in cfg.to_json()
+    assert esd_hash(cfg) == esd_hash(tiny_config(quad, outputs="runs/b"))
+    assert esd_hash(cfg) == esd_hash(tiny_config(quad))
+    assert "outputs" not in harness._esd_inputs(cfg)
 
 
 def test_thread_count_env(monkeypatch):
@@ -265,7 +298,8 @@ def test_run_esd_structure_and_determinism(quad):
     cfg = tiny_config(quad)
     art = run_esd(cfg)
     assert art.kind == "esd"
-    assert art.config_hash == cfg.config_hash()
+    assert art.inputs == harness._esd_inputs(cfg)
+    assert art.config_hash == esd_hash(cfg)
     assert len(art.records) == 4  # two sizes x two trials
     for rec in art.records:
         assert rec["converged"]
@@ -399,6 +433,10 @@ def test_run_region_map_validation(quad):
         run_region_map(quad, (1.0, 0.0, 0.0, 1.0), 9)
     with pytest.raises(ConfigError):
         run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 1)
+    with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
+        run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 2.5)
+    art = run_region_map(quad, (0.0, 1.0, 0.0, 1.0), np.int64(3))
+    assert art.config_hash == run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 3).config_hash
 
 
 def test_run_logpot_summary(quad):
@@ -415,8 +453,9 @@ def test_run_logpot_summary(quad):
 def test_run_logpot_echoes_the_z_list_it_used(quad):
     cfg = tiny_config(quad, sizes=(8,), trials=1)
     default = run_logpot(cfg)
-    assert default.inputs == cfg.to_json()
-    assert default.config_hash == cfg.config_hash()
+    assert default.inputs == harness._logpot_inputs(cfg)
+    assert default.inputs["z_grid"] == cfg.z_grid.to_json()
+    assert default.config_hash == harness._hash(harness._logpot_inputs(cfg))
     chosen = run_logpot(cfg, [3.0])
     assert chosen.inputs["z_grid"] == {"points": [[3.0, 0.0]]}
     assert chosen.config_hash != default.config_hash
@@ -516,6 +555,15 @@ def test_run_expansion_records_and_inputs(quad):
     assert art.seed == 5
     assert art.inputs["gamma_star"] == 3.0 and art.inputs["z"] == [3.0, 0.0]
     assert run_expansion(quad, 3.0, [6, 8], 2, 3.0, 6).config_hash != art.config_hash
+
+
+def test_run_expansion_integer_inputs_are_not_truncated(quad):
+    with pytest.raises(ConfigError, match="sizes entry must be an integer, got 10.9"):
+        run_expansion(quad, 3.0, [10.9], 2, 3.0, 0)
+    with pytest.raises(ConfigError, match="draws must be an integer, got 2.5"):
+        run_expansion(quad, 3.0, [10], 2.5, 3.0, 0)
+    art = run_expansion(quad, 3.0, [np.int64(6)], np.int64(2), 3.0, 0)
+    assert art.inputs == run_expansion(quad, 3.0, [6], 2, 3.0, 0).inputs
 
 
 # QUAD in each of its three regions, and a d1 = d2 = 1 symbol 0.5/lam + 2 lam
@@ -621,7 +669,7 @@ def test_artifact_write_jsonl(quad, tmp_path):
     meta = json.loads((tmp_path / "esd_meta.json").read_text())
     assert meta["config_hash"] == art.config_hash
     assert meta["seed"] == cfg.seed
-    assert meta["config"] == cfg.to_json()
+    assert meta["config"] == harness._esd_inputs(cfg)
     assert meta["versions"] == {
         "toepspec": toepspec.__version__,
         "numpy": np.__version__,

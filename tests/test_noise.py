@@ -45,6 +45,19 @@ def test_noise_model_json_roundtrip():
         NoiseModel.from_json({"kind": "gaussian_real", "gamma": 0.75})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "sparse_bernoulli_gaussian", "p": True},
+        {"kind": "sparse_bernoulli_gaussian", "p": "0.2"},
+        {"kind": "corner_delta", "gamma_star": True},
+    ],
+)
+def test_noise_model_json_rejects_non_numbers(data):
+    with pytest.raises(ValueError, match="must be a number"):
+        NoiseModel.from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # Entry statistics (fixed seeds keep these deterministic)
 

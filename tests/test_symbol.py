@@ -114,6 +114,8 @@ def test_symbol_json_roundtrip(quad, tri):
         ({"d1": 1.6}, "d1 must be an integer"),
         ({"d2": True}, "d2 must be an integer"),
         ({"name": "quad"}, r"unknown symbol fields: \['name'\]"),
+        ({"coeffs": [[0, 0], [1, 0], [True, 0]]}, "coeff must be a number"),
+        ({"coeffs": [[0, 0], [1, 0], ["1", 0]]}, "coeff must be a number"),
     ],
 )
 def test_symbol_json_rejects_truncation_and_unknown_fields(quad, edit, message):
