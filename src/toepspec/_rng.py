@@ -22,15 +22,15 @@ _ENTROPY_MASK = (1 << 128) - 1
 
 
 def seed_sequence(seed, *key: int) -> np.random.SeedSequence:
-    """A SeedSequence for ``seed``, optionally refined by integer key parts."""
+    """A SeedSequence for ``seed``, optionally refined by integer key parts:
+    the root's entropy with the key appended to its spawn key."""
     if isinstance(seed, np.random.SeedSequence):
-        base = seed
+        if not key:
+            return seed
+        entropy, spawn = seed.entropy, tuple(seed.spawn_key)
     else:
-        base = np.random.SeedSequence(int(seed) & _ENTROPY_MASK)
-    if not key:
-        return base
-    spawn = tuple(base.spawn_key) + tuple(int(k) for k in key)
-    return np.random.SeedSequence(entropy=base.entropy, spawn_key=spawn)
+        entropy, spawn = int(seed) & _ENTROPY_MASK, ()
+    return np.random.SeedSequence(entropy=entropy, spawn_key=spawn + tuple(int(k) for k in key))
 
 
 def generator(seed, *key: int) -> np.random.Generator:

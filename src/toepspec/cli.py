@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     _dumps,
     _esd_inputs,
@@ -38,7 +37,7 @@ from .harness import (
     thread_count,
 )
 from .noise import NoiseModel
-from .symbol import Symbol
+from .symbol import ConfigError, Symbol
 from . import validate as _validate
 
 __all__ = ["main"]
@@ -98,11 +97,9 @@ def _apply_overrides(data: dict, sets: list[str]) -> None:
             value = raw
         node = data
         for k in keys[:-1]:
-            nxt = node.get(k)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[k] = nxt
-            node = nxt
+            node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r}: {k!r} is not an object")
         node[keys[-1]] = value
 
 

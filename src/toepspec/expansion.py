@@ -23,7 +23,6 @@ __all__ = [
     "perm_sign",
     "det_sum_decomposition",
     "bidiag_subdet",
-    "corner_pk",
     "DominanceReport",
     "dominance_report",
     "AntiConcRow",
@@ -141,24 +140,6 @@ def bidiag_subdet(zfrak: complex, x, y, n: int) -> complex:
     for i in range(1, k):
         expo += ys[i] - xs[i - 1] - 1
     return zfrak**expo
-
-
-def corner_pk(s: Symbol, z: complex, delta, k: int) -> complex:
-    """k-th term of det(T_N(z) + Delta) expanded in the perturbation:
-
-        P_k = sum_{|X|=|Y|=k} sign(X) sign(Y) det(T_N(z)[X^c, Y^c]) det(Delta[X, Y]),
-
-    with X, Y running over Delta's nonzero rows/columns.  P_0 is det T_N(z);
-    k beyond the support rank gives exactly 0.
-    """
-    delta = as_matrix(delta)
-    if delta.shape[0] != delta.shape[1]:
-        raise ValueError("perturbation must be square")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    rows, cols = _support(np.argwhere(delta != 0).tolist())
-    tz = build_z(s, z, delta.shape[0])
-    return lu_det(tz) if k == 0 else _table_sum(_minor_table(tz, rows, cols, k), delta)
 
 
 @dataclass(frozen=True)

@@ -44,18 +44,18 @@ from .linalg import (
 )
 from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, corner_support, sample
 from .symbol import (
-    BOUNDARY, Symbol, _json_float, _json_int, classify_region, limit_logpot, region_labels,
-    sample_mu_a,
+    BOUNDARY, ConfigError, Symbol, _json_float, _json_int, classify_region, limit_logpot,
+    region_labels, sample_mu_a,
 )
 from .toeplitz import build, build_z, interleaved_band
 
 __all__ = [
-    "ConfigError",
     "ZGrid",
     "ExperimentConfig",
     "RunArtifact",
     "energy_distance",
     "ks_distance",
+    "thread_count",
     "perturbation",
     "run_esd",
     "run_expansion",
@@ -65,10 +65,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "TOEPSPEC_THREADS"
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +85,9 @@ class ZGrid:
         if self.resolution is not None:
             object.__setattr__(self, "resolution", _json_int(self.resolution, "z_grid resolution"))
         if self.rect is not None:
+            if not isinstance(self.rect, (tuple, list, np.ndarray)) or len(self.rect) != 4:
+                raise ConfigError("z_grid rect must have 4 entries")
+            object.__setattr__(self, "rect", tuple(_json_float(v, "rect entry") for v in self.rect))
             if self.resolution is None or self.resolution < 2:
                 raise ConfigError("rect z_grid needs resolution >= 2")
             re_lo, re_hi, im_lo, im_hi = self.rect
@@ -116,12 +115,8 @@ class ZGrid:
         try:
             if pts is not None:
                 pts = tuple(complex(_json_float(re, "z"), _json_float(im, "z")) for re, im in pts)
-            if rect is not None:
-                rect = tuple(_json_float(v, "rect entry") for v in rect)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed z_grid: {exc}") from exc
-        if rect is not None and len(rect) != 4:
-            raise ConfigError("z_grid rect must have 4 entries")
         return cls(points=pts, rect=rect, resolution=res)
 
 
@@ -485,7 +480,7 @@ def _off_boundary(s: Symbol, z) -> complex:
 
 def _region_inputs(s: Symbol, rect, resolution: int) -> dict:
     """run_region_map's inputs echo; ZGrid checks the rect and resolution."""
-    grid = ZGrid(rect=tuple(float(v) for v in rect), resolution=resolution)
+    grid = ZGrid(rect=rect, resolution=resolution)
     return {"symbol": s.to_json(), **grid.to_json()}
 
 
@@ -608,6 +603,7 @@ def _replacement_inputs(
     ``n`` and the second ensemble, after checking ``n`` against both
     ensembles."""
     inputs = _config_inputs(config, "replace", ("symbol", "gamma", "noise", "trials", "seed"))
+    n = _json_int(n, "n")
     if n < 1:
         raise ConfigError("n must be >= 1")
     for model in (config.noise, model_b):
@@ -706,13 +702,13 @@ def run_replacement(
 def _expansion_inputs(
     s: Symbol, z: complex, sizes, draws: int, gamma_star: float, seed: int
 ) -> dict:
-    """run_expansion's inputs echo, after checking the sizes and draws, that
-    z lies off the region boundary and that the corners fit every size."""
-    try:
-        sizes = [_json_int(n, "sizes entry") for n in sizes]
-        draws = _json_int(draws, "draws")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """run_expansion's inputs echo, after checking the form of each argument,
+    the sizes and draws, that z lies off the region boundary and that the
+    corners fit every size."""
+    sizes = [_json_int(n, "sizes entry") for n in sizes]
+    draws = _json_int(draws, "draws")
+    gamma_star = _json_float(gamma_star, "gamma_star")
+    seed = _json_int(seed, "seed")
     if not sizes or any(n < 1 for n in sizes):
         raise ConfigError("sizes must be a nonempty list of positive ints")
     if draws < 1:

@@ -25,6 +25,7 @@ from ._rng import generator
 __all__ = [
     "ConvergenceError",
     "LogDet",
+    "LOG_SINGULAR",
     "SpectrumResult",
     "as_matrix",
     "lu_logdet",

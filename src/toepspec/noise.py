@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import generator, seed_sequence
 from .linalg import as_matrix, haar_unitary, smin
-from .symbol import Symbol, _json_float
+from .symbol import ConfigError, Symbol, _json_float
 
 __all__ = [
     "KINDS",
@@ -45,9 +45,10 @@ _TAIL_BETAS = (1.0, 2.0, 4.0)
 class NoiseModel:
     """Noise ensemble selector.
 
-    ``p`` is the sparsity level for the Bernoulli-Gaussian kind,
-    ``gamma_star`` the corner decay exponent.  The N^{-gamma} scaling
-    exponent belongs to the experiment (``ExperimentConfig.gamma``).
+    ``p`` is the sparsity level for the Bernoulli-Gaussian kind and
+    ``gamma_star`` the corner decay exponent; each is rejected for any other
+    kind, which would not read it.  The N^{-gamma} scaling exponent belongs
+    to the experiment (``ExperimentConfig.gamma``).
     """
 
     kind: str
@@ -56,12 +57,17 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; choose from {KINDS}")
-        if self.kind == "sparse_bernoulli_gaussian":
-            if self.p is None or not (0.0 < self.p <= 1.0):
-                raise ValueError("sparse_bernoulli_gaussian requires p in (0, 1]")
-        if self.kind == "corner_delta" and self.gamma_star is None:
-            raise ValueError("corner_delta requires gamma_star")
+            raise ConfigError(f"unknown noise kind {self.kind!r}; choose from {KINDS}")
+        for name, kind in (("p", "sparse_bernoulli_gaussian"), ("gamma_star", "corner_delta")):
+            value = getattr(self, name)
+            if value is None and self.kind == kind:
+                raise ConfigError(f"{kind} requires {name}")
+            if value is not None and self.kind != kind:
+                raise ConfigError(f"noise kind {self.kind} does not read {name}")
+            if value is not None:
+                object.__setattr__(self, name, _json_float(value, f"noise {name}"))
+        if self.kind == "sparse_bernoulli_gaussian" and not (0.0 < self.p <= 1.0):
+            raise ConfigError("sparse_bernoulli_gaussian requires p in (0, 1]")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -74,20 +80,15 @@ class NoiseModel:
     @classmethod
     def from_json(cls, data) -> "NoiseModel":
         if not isinstance(data, dict):
-            raise ValueError("noise JSON must be an object")
+            raise ConfigError("noise JSON must be an object")
         known = {"kind", "p", "gamma_star"}
         extra = set(data) - known
         if extra:
-            raise ValueError(f"unknown noise fields: {sorted(extra)}")
-        p, gstar = (data.get(k) for k in ("p", "gamma_star"))
+            raise ConfigError(f"unknown noise fields: {sorted(extra)}")
         try:
-            return cls(
-                kind=str(data["kind"]),
-                p=None if p is None else _json_float(p, "noise p"),
-                gamma_star=None if gstar is None else _json_float(gstar, "noise gamma_star"),
-            )
+            return cls(kind=str(data["kind"]), p=data.get("p"), gamma_star=data.get("gamma_star"))
         except KeyError as exc:
-            raise ValueError(f"noise JSON missing field: {exc}") from exc
+            raise ConfigError(f"noise JSON missing field: {exc}") from exc
 
 
 def sample(model: NoiseModel, n: int, seed) -> np.ndarray:

@@ -28,6 +28,7 @@ from ._rng import generator
 
 __all__ = [
     "BOUNDARY",
+    "ConfigError",
     "RootFindingError",
     "Symbol",
     "RootProfile",
@@ -66,22 +67,27 @@ _MAX_ITER = 200
 _TOL_RESIDUAL = 1e-12
 
 
+class ConfigError(ValueError):
+    """Malformed or inconsistent experiment configuration: a field of the
+    wrong form or out of range."""
+
+
 def _json_int(value, name: str) -> int:
     """A JSON integer field's value: a bool, a non-number or a number with a
-    fractional part raises ValueError instead of being truncated."""
+    fractional part raises ConfigError instead of being truncated."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _json_float(value, name: str) -> float:
     """A JSON number field's value as a float: a bool or a non-number raises
-    ValueError instead of being read as 1.0 or parsed from text."""
+    ConfigError instead of being read as 1.0 or parsed from text."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 class RootFindingError(RuntimeError):

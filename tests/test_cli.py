@@ -428,6 +428,13 @@ BAD_INPUTS = {
     "gamma-star-bool": lambda p: [
         "logpot", *config_flag(p, sizes=[8], noise={**CORNER_NOISE, "gamma_star": True})
     ],
+    "set-through-list": lambda p: ["spectrum", *config_flag(p), "--set", "sizes.0=5"],
+    "noise-unread-p": lambda p: [
+        "spectrum", *config_flag(p, noise={"kind": "gaussian_complex", "p": 0.5})
+    ],
+    "noise-b-unread-gamma-star": lambda p: [
+        "replace", *config_flag(p), "--z", "1", "--noise-b", '{"kind": "rademacher", "gamma_star": 3}'
+    ],
 }
 
 # The error of the cases above that leave a field out or give it the wrong
@@ -443,6 +450,9 @@ ERROR_TEXT = {
     "gamma-bool": "gamma must be a number, got True",
     "noise-p-bool": "noise p must be a number, got True",
     "gamma-star-bool": "noise gamma_star must be a number, got True",
+    "set-through-list": "override 'sizes.0=5': 'sizes' is not an object",
+    "noise-unread-p": "noise kind gaussian_complex does not read p",
+    "noise-b-unread-gamma-star": "noise kind rademacher does not read gamma_star",
 }
 
 # One good input per run subcommand, small enough to run in a test.

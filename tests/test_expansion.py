@@ -14,7 +14,6 @@ from toepspec import (
     bidiag_subdet,
     build_z,
     corner_delta,
-    corner_pk,
     det_sum_decomposition,
     dominance_report,
     lu_det,
@@ -111,44 +110,42 @@ def test_bidiag_subdet_validation():
 
 
 # ---------------------------------------------------------------------------
-# Expansion terms P_k
+# Expansion terms P_k = sum_{|X|=|Y|=k} sign(X) sign(Y) det(T_N(z)[X^c, Y^c])
+# det(Delta[X, Y]), reported as dominance_report(...).p_values for k = 0..d
 
 
-def test_corner_pk_p0_is_determinant(quad):
+def test_dominance_report_p0_is_determinant(quad):
     z = 1.0
     delta = corner_delta(quad, 10, 3.0, seed=3)
-    assert corner_pk(quad, z, delta, 0) == pytest.approx(
+    assert dominance_report(quad, z, delta).p_values[0] == pytest.approx(
         lu_det(build_z(quad, z, 10)), rel=1e-12
     )
 
 
-def test_corner_pk_sums_to_full_determinant(quad):
+def test_dominance_report_terms_sum_to_full_determinant(quad):
     # The terms of the expansion must re-assemble det(T_N(z) + Delta).
     n, z = 10, 1.0
     delta = corner_delta(quad, n, 3.0, seed=4)
-    total = sum(corner_pk(quad, z, delta, k) for k in range(quad.d + 1))
+    total = sum(dominance_report(quad, z, delta).p_values)
     want = lu_det(build_z(quad, z, n) + delta)
     assert abs(total - want) <= 1e-9 * abs(want)
 
 
-def test_corner_pk_sums_generic_sparse(quad, rng):
+def test_det_sum_generic_sparse_toeplitz(quad, rng):
     # Same identity for an arbitrary sparse perturbation (not corner-shaped).
     n, z = 8, -0.4 + 0.9j
     delta = np.zeros((n, n), complex)
     idx = rng.integers(0, n, size=(3, 2))
     for i, j in idx:
         delta[i, j] = complex(rng.standard_normal(), rng.standard_normal())
-    rank_cap = min(
-        len({i for i, _ in idx}), len({j for _, j in idx})
-    )
-    total = sum(corner_pk(quad, z, delta, k) for k in range(rank_cap + 1))
+    total = det_sum_decomposition(build_z(quad, z, n), delta)
     want = lu_det(build_z(quad, z, n) + delta)
     assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @settings(max_examples=60, deadline=None)
 @given(d1=st.integers(0, 3), d2=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-def test_corner_pk_sums_to_slogdet_over_random_symbols(d1, d2, seed):
+def test_dominance_report_terms_sum_to_slogdet_over_random_symbols(d1, d2, seed):
     # Independent oracle: LAPACK's det(T_N(z) + Delta), with both corners
     # filled when d2 > 0.  The error is measured against sum_k |P_k|, the
     # scale of the terms being added; 1500 seeds offline (9804 cases) gave
@@ -158,24 +155,15 @@ def test_corner_pk_sums_to_slogdet_over_random_symbols(d1, d2, seed):
     for z in zs:
         for n in (max(d1, d2) + 1, 7, 12):
             delta = corner_delta(s, n, s.d + 1.0, seed=seed)
-            p = [corner_pk(s, z, delta, k) for k in range(s.d + 1)]
+            p = dominance_report(s, z, delta).p_values
             sign, log_abs = np.linalg.slogdet(build_z(s, z, n) + delta)
             want = sign * np.exp(log_abs)
             assert abs(sum(p) - want) <= 1e-10 * sum(abs(v) for v in p), (z, n)
 
 
-def test_corner_pk_vanishes_beyond_support_rank(quad):
-    delta = corner_delta(quad, 12, 3.0, seed=5)  # two support rows/columns
-    assert corner_pk(quad, 1.0, delta, 3) == 0j
-    assert corner_pk(quad, 1.0, delta, 5) == 0j
-
-
-def test_corner_pk_validation(quad, rng):
-    delta = corner_delta(quad, 10, 3.0, seed=6)
-    with pytest.raises(ValueError):
-        corner_pk(quad, 1.0, delta, -1)
-    with pytest.raises(ValueError):
-        corner_pk(quad, 1.0, random_complex(rng, 14), 1)  # support too wide
+def test_dominance_report_guards_wide_support(quad, rng):
+    with pytest.raises(ValueError, match="support too large"):
+        dominance_report(quad, 1.0, random_complex(rng, 14))
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_config_needs_only_the_symbol_and_checks_what_is_present(quad):
     with pytest.raises(ConfigError, match="may not be null"):
         ExperimentConfig.from_json({"symbol": quad.to_json(), "sizes": None})
     # The constructor applies the integer rule too, instead of truncating.
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ConfigError, match="must be an integer"):
         ExperimentConfig(quad, sizes=(10.9,))
     assert ExperimentConfig(quad, sizes=np.array([8, 12]), trials=np.int64(2)).sizes == (8, 12)
 
@@ -433,10 +433,11 @@ def test_run_region_map_validation(quad):
         run_region_map(quad, (1.0, 0.0, 0.0, 1.0), 9)
     with pytest.raises(ConfigError):
         run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 1)
-    with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
+    with pytest.raises(ConfigError, match="resolution must be an integer, got 2.5"):
         run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 2.5)
     art = run_region_map(quad, (0.0, 1.0, 0.0, 1.0), np.int64(3))
     assert art.config_hash == run_region_map(quad, (0.0, 1.0, 0.0, 1.0), 3).config_hash
+    assert art.config_hash == run_region_map(quad, np.array([0, 1, 0, 1]), 3).config_hash
 
 
 def test_run_logpot_summary(quad):
@@ -564,6 +565,27 @@ def test_run_expansion_integer_inputs_are_not_truncated(quad):
         run_expansion(quad, 3.0, [10], 2.5, 3.0, 0)
     art = run_expansion(quad, 3.0, [np.int64(6)], np.int64(2), 3.0, 0)
     assert art.inputs == run_expansion(quad, 3.0, [6], 2, 3.0, 0).inputs
+
+
+# A field or runner argument of the wrong form, given to the library directly.
+FORM_ERRORS = {
+    "config-gamma-text": lambda q: ExperimentConfig(q, gamma="0.75"),
+    "zgrid-resolution-bool": lambda q: ZGrid(rect=(0.0, 1.0, 0.0, 1.0), resolution=True),
+    "zgrid-rect-3-entries": lambda q: ZGrid(rect=(0.0, 1.0, 0.0), resolution=3),
+    "noise-p-text": lambda q: NoiseModel("sparse_bernoulli_gaussian", p="0.2"),
+    "regions-rect-text": lambda q: run_region_map(q, ("a", 1.0, 0.0, 1.0), 3),
+    "regions-rect-scalar": lambda q: run_region_map(q, 1.0, 3),
+    "replace-n-fraction": lambda q: run_replacement(
+        tiny_config(q), 1.0, 2.5, NoiseModel("rademacher")
+    ),
+    "expand-gamma-star-text": lambda q: run_expansion(q, 3.0, [6], 2, "4", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(FORM_ERRORS))
+def test_form_errors_are_config_errors(quad, case):
+    with pytest.raises(ConfigError):
+        FORM_ERRORS[case](quad)
 
 
 # QUAD in each of its three regions, and a d1 = d2 = 1 symbol 0.5/lam + 2 lam

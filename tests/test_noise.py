@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from toepspec._rng import generator
+from toepspec._rng import generator, seed_sequence
 from toepspec import (
+    ConfigError,
     NoiseModel,
     Symbol,
     corner_delta,
@@ -28,6 +29,21 @@ def test_noise_model_validation():
         NoiseModel("sparse_bernoulli_gaussian", p=1.5)
     with pytest.raises(ValueError):
         NoiseModel("corner_delta")  # gamma_star missing
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "gaussian_complex", "p": 0.5},
+        {"kind": "rademacher", "gamma_star": 3.0},
+        {"kind": "sparse_bernoulli_gaussian", "p": 0.5, "gamma_star": 3.0},
+        {"kind": "corner_delta", "gamma_star": 3.0, "p": 0.5},
+    ],
+)
+def test_noise_model_rejects_fields_its_kind_does_not_read(data):
+    # An unread field would still change the config hash of the run.
+    with pytest.raises(ConfigError, match="does not read"):
+        NoiseModel.from_json(data)
 
 
 def test_noise_model_json_roundtrip():
@@ -56,6 +72,20 @@ def test_noise_model_json_roundtrip():
 def test_noise_model_json_rejects_non_numbers(data):
     with pytest.raises(ValueError, match="must be a number"):
         NoiseModel.from_json(data)
+
+
+@pytest.mark.parametrize("root", [5, 2**130 + 7, np.random.SeedSequence(9, spawn_key=(4,))])
+def test_seed_sequence_appends_the_key_to_the_root(root):
+    if isinstance(root, np.random.SeedSequence):
+        entropy, spawn = root.entropy, (4,)
+        assert seed_sequence(root) is root
+    else:
+        entropy, spawn = root & ((1 << 128) - 1), ()
+    for key in [(), (0,), (3, 17, 2)]:
+        got = seed_sequence(root, *key)
+        want = np.random.SeedSequence(entropy=entropy, spawn_key=spawn + key)
+        assert (got.entropy, got.spawn_key) == (want.entropy, want.spawn_key)
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,6 @@ REMOVED_PARAMETERS = {
     "classify_region": ("tol_boundary",),
     "region_labels": ("tol_boundary", "max_iter"),
     "det_sum_decomposition": ("max_n",),
-    "corner_pk": ("max_support",),
     "moment_rhs": ("nodes",),
     "smin_tail_check": ("betas",),
 }
