@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +72,14 @@ THREADS_ENV = "TOEPSPEC_THREADS"
 # Configuration
 
 
+def _json_complex(value, name: str) -> complex:
+    """A z point's value as a complex number: a bool or a non-number (text
+    included) raises ConfigError instead of being parsed."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        return complex(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ZGrid:
     """Either an explicit list of z points or a rect + resolution raster."""
@@ -98,6 +107,7 @@ class ZGrid:
                 raise ConfigError("points z_grid must be nonempty")
             if self.resolution is not None:
                 raise ConfigError("points z_grid takes no resolution")
+            object.__setattr__(self, "points", tuple(_json_complex(z, "z") for z in self.points))
 
     def to_json(self) -> dict:
         if self.points is not None:
@@ -472,7 +482,7 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
 
 def _off_boundary(s: Symbol, z) -> complex:
     """``z`` as a complex number, checked to lie off the region boundary."""
-    z = complex(z)
+    z = _json_complex(z, "z")
     if classify_region(s, z) == BOUNDARY:
         raise ConfigError(f"z = {z} lies on the region boundary")
     return z

@@ -11,8 +11,8 @@ modulus; the count d0(z) of moduli >= 1 classifies z into open regions
 indexed by the order dd = d1 - d0, with a BOUNDARY label where moduli sit on
 the unit circle (within tolerance).  By the argument principle dd is also
 the winding number of the curve a(S^1) around z, which is how region_labels
-labels a whole grid: winding numbers off a thin band around the curve, the
-Aberth root iteration on the band.  The limiting log-potential of the
+labels a whole grid: winding numbers off a thin band around the curve,
+companion-matrix eigenvalues on the band.  The limiting log-potential of the
 symbol's curve measure mu_a evaluates in closed form from the same roots.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "Symbol",
     "RootProfile",
     "MuASample",
-    "aberth_roots",
     "char_poly_coeffs",
     "root_profile",
     "classify_region",
@@ -52,19 +51,9 @@ TOL_BOUNDARY = 1e-9
 #: Two roots closer than this are flagged as numerically inseparable.
 TOL_DOUBLE = 1e-7
 
-# region_labels solves its band nodes in blocks of this many rows, which
-# bounds the (rows, d, d) temporaries of the Aberth step; results do not
-# depend on it.
-_ROOT_BLOCK = 8192
-
 # Cap on the curve samples region_labels takes for its winding numbers; a
-# coarser polygon only widens the band that goes to the Aberth iteration.
+# coarser polygon only widens the band whose nodes are solved for roots.
 _MAX_CURVE_SAMPLES = 1 << 16
-
-# Aberth iteration cap, and the relative residual at which a root counts as
-# done: |p(x)| <= _TOL_RESIDUAL * sum |c_l| |x|^l.
-_MAX_ITER = 200
-_TOL_RESIDUAL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -91,7 +80,8 @@ def _json_float(value, name: str) -> float:
 
 
 class RootFindingError(RuntimeError):
-    """Root iteration failed to converge (typically a near-degenerate z)."""
+    """The characteristic roots at this z are unavailable: the polynomial
+    degree collapses (d1 = 0 and z = a_0), or the eigensolver failed."""
 
 
 @dataclass(frozen=True)
@@ -222,119 +212,17 @@ def char_poly_coeffs(s: Symbol, z: complex) -> np.ndarray:
     return c
 
 
-# ---------------------------------------------------------------------------
-# Aberth-Ehrlich simultaneous root iteration
-
-
-def _horner_all(c: np.ndarray, x: np.ndarray):
-    """Batched p(x), p'(x) and the residual scale sum |c_l| |x|^l.
-
-    ``c`` has shape (B, n) ascending; ``x`` has shape (B, m).
-    """
-    p = np.broadcast_to(c[:, -1][:, None], x.shape).copy()
-    dp = np.zeros_like(x)
-    ax = np.abs(x)
-    sc = np.broadcast_to(np.abs(c[:, -1])[:, None], x.shape).copy()
-    for ell in range(c.shape[1] - 2, -1, -1):
-        dp = dp * x + p
-        p = p * x + c[:, ell][:, None]
-        sc = sc * ax + np.abs(c[:, ell])[:, None]
-    return p, dp, sc
-
-
-def _aberth_step(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Aberth corrections (p/p') / (1 - (p/p') sum_{j != i} 1/(x_i - x_j)),
-    row by row; non-finite where iterates collide or p' vanishes."""
-    idx = np.arange(x.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = p / dp
-        diffs = x[:, :, None] - x[:, None, :]
-        diffs[:, idx, idx] = np.inf
-        ssum = (1.0 / diffs).sum(axis=2)
-        return ratio / (1.0 - ratio * ssum)
-
-
-def _aberth_batch(c: np.ndarray):
-    """Simultaneous roots for a batch of same-degree polynomials.
-
-    Requires nonzero leading AND constant coefficients in every row (zero
-    roots must be stripped by the caller).  Returns (roots (B, deg),
-    ok (B,) convergence mask).  All arithmetic is row by row, so a row's
-    result does not depend on the other rows of the batch; each stage works
-    only on the rows it can still change.
-    """
-    b, n = c.shape
-    deg = n - 1
-    r0 = (np.abs(c[:, 0]) / np.abs(c[:, -1])) ** (1.0 / deg)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    x = r0[:, None] * np.exp(1j * angles)[None, :]
-    done = np.zeros((b, deg), dtype=bool)
-    live = np.arange(b)  # rows with a root not yet done
-    for _ in range(_MAX_ITER):
-        xl = x[live]
-        p, dp, sc = _horner_all(c[live], xl)
-        dl = done[live] | (np.abs(p) <= _TOL_RESIDUAL * np.maximum(sc, 1e-300))
-        done[live] = dl
-        keep = ~dl.all(axis=1)
-        if not keep.any():
-            break
-        live, xl, dl = live[keep], xl[keep], dl[keep]
-        step = _aberth_step(p[keep], dp[keep], xl)
-        bad = ~np.isfinite(step)
-        if bad.any():
-            # collided iterates or vanishing derivative: nudge instead
-            step = np.where(bad, (0.01 + 0.02j) * (1.0 + np.abs(xl)), step)
-        x[live] = np.where(dl, xl, xl - step)
-    # Polish sweeps, applied to every row: the residual test above lets a
-    # multiple root freeze while still ~sqrt(_TOL_RESIDUAL) away (its residual
-    # is quadratic in the distance), which would leave an exact double root
-    # looking like two points 1e-6 apart.  Each sweep contracts a straddling
-    # pair by ~1/3, so a few of them reach the attainable floor.  A sweep is
-    # a pure function of (c, x), so a row whose x comes out bit-identical is
-    # at a fixed point and drops out of the later sweeps.
-    moving = np.arange(b)
-    for _ in range(8):
-        xm = x[moving]
-        p, dp, _ = _horner_all(c[moving], xm)
-        step = _aberth_step(p, dp, xm)
-        xn = np.where(np.isfinite(step), xm - step, xm)
-        x[moving] = xn
-        moving = moving[(xn.view(np.int64) != xm.view(np.int64)).any(axis=1)]
-        if moving.size == 0:
-            break
-    p, _, sc = _horner_all(c, x)
-    ok = (np.abs(p) <= 10.0 * _TOL_RESIDUAL * np.maximum(sc, 1e-300)) | done
-    return x, ok.all(axis=1)
-
-
-def aberth_roots(coeffs) -> np.ndarray:
-    """All complex roots of a polynomial (ascending coefficients).
-
-    Exact zero roots are deflated first; the remainder is found by the
-    Aberth-Ehrlich iteration started on a circle of radius
-    (|c_0|/|c_deg|)^(1/deg).  Raises RootFindingError on non-convergence.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need an ascending coefficient vector of degree >= 1")
-    if c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    nz = 0
-    while c[nz] == 0:
-        nz += 1
-    work = c[nz:]
-    deg = work.size - 1
-    zero_part = np.zeros(nz, dtype=complex)
-    if deg == 0:
-        return zero_part
-    if deg == 1:
-        return np.concatenate([[-work[0] / work[1]], zero_part])
-    roots, ok = _aberth_batch(work[np.newaxis, :])
-    if not ok[0]:
-        raise RootFindingError(
-            f"root iteration did not converge in {_MAX_ITER} steps"
-        )
-    return np.concatenate([roots[0], zero_part])
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """All roots of each row of ``c``, a (B, n) stack of ascending
+    coefficient vectors with nonzero leading coefficients: the eigenvalues
+    of the (B, n - 1, n - 1) companion matrices, in one LAPACK call that
+    balances each matrix first.  Raises LinAlgError, for the whole stack,
+    when the eigensolver fails on any row."""
+    d = c.shape[1] - 1
+    comp = np.zeros((c.shape[0], d, d), dtype=complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    return np.linalg.eigvals(comp)
 
 
 def _sorted_roots(lam: np.ndarray) -> np.ndarray:
@@ -367,7 +255,8 @@ def root_profile(s: Symbol, z: complex) -> RootProfile:
     """Characteristic roots at z with region bookkeeping.
 
     Raises RootFindingError for the degenerate point z = a_0 of a symbol
-    with d1 = 0 (the polynomial degree collapses) and on non-convergence.
+    with d1 = 0 (the polynomial degree collapses) and when the eigensolver
+    fails.
     """
     z = complex(z)
     c = char_poly_coeffs(s, z)
@@ -375,7 +264,11 @@ def root_profile(s: Symbol, z: complex) -> RootProfile:
         raise RootFindingError(
             "characteristic polynomial degenerates at this z (d1 = 0 and z = a_0)"
         )
-    lam = _sorted_roots(-aberth_roots(c))
+    try:
+        roots = _companion_roots(c[np.newaxis, :])[0]
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingError(f"eigensolver failed at z = {z}: {exc}") from exc
+    lam = _sorted_roots(-roots)
     dd, clean = _split(s, np.abs(lam))
     near_double = False
     if lam.size > 1:
@@ -406,10 +299,10 @@ def region_labels(s: Symbol, zs) -> tuple[np.ndarray, np.ndarray]:
     Off a band around the symbol curve the order is the winding number
     wind(a(S^1), z), which is exact there and never BOUNDARY.  Band nodes,
     and nodes z = a_0 (where the polynomial degenerates if d1 = 0 or
-    d2 = 0), take the Aberth route of classify_region: those with a root
-    modulus within TOL_BOUNDARY of 1, or where the root iteration failed,
-    are reported as boundary.  A failed iteration can therefore occur only
-    on the band.
+    d2 = 0), take the root route of classify_region: those with a root
+    modulus within TOL_BOUNDARY of 1, where the degree collapses, or where
+    the eigensolver failed, are reported as boundary.  A failed solve can
+    therefore occur only on the band.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     bmask = np.zeros(zs.size, dtype=bool)
@@ -417,7 +310,7 @@ def region_labels(s: Symbol, zs) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=int), bmask
     dd, band = _winding_labels(s, zs)
     band |= zs == s.coeff(0)
-    dd[band], bmask[band] = _aberth_labels(s, zs[band])
+    dd[band], bmask[band] = _root_labels(s, zs[band])
     return dd, bmask
 
 
@@ -428,12 +321,24 @@ def _winding_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The curve is sampled densely enough that, by the bound
     M = sum |k| |a_k| on |d a(e^{i theta}) / d theta|, consecutive samples
     lie at most ``gap`` apart; gap is about a quarter of the grid step a
-    grid over the extent of ``zs`` would have.  Each node's order is the signed count of polygon crossings to its
-    right on its horizontal line.  The straight-line homotopy from the curve
-    to the polygon stays within gap of a sample, and a root within
-    TOL_BOUNDARY of |lam| = 1 puts z within gap / 2 + 2 TOL_BOUNDARY M of
-    one.  So every node farther than ``radius`` from all samples has an
-    exact order that is not BOUNDARY; the band holds all other nodes.
+    grid over the extent of ``zs`` would have.  Each node's order is the
+    signed count of polygon crossings to its right on its horizontal line.
+    The straight-line homotopy from the curve to the polygon stays within gap
+    of a sample, and a root within TOL_BOUNDARY of |lam| = 1 puts z within
+    gap / 2 + 2 TOL_BOUNDARY M + ``slack`` of one.
+
+    The slack covers rounding in the roots.  LAPACK returns the exact
+    eigenvalues of C + E with ||E|| <= p(d) eps ||C||, C the balanced
+    companion matrix, so a computed root lam has a relative residual
+    eta = |P(lam)| / sum |c_l| |lam|^l of about p(d) eps ||C|| (Edelman &
+    Murakami, Math. Comp. 1995).  It is then an exact root of a polynomial
+    with coefficients moved by at most eta |c_l|, and where |lam| is within
+    TOL_BOUNDARY of 1 that puts a(lam) within about eta sum |c_l| of z.
+    The slack allows eta = 2^19 eps (1.2e-10) against sum |c_l| <=
+    sum |a_k| + max |z|, far above the eta <= 2^12 eps the tests check on
+    random symbols with d1, d2 <= 3; the margin also covers rounding in the
+    curve samples.  So every node farther than ``radius`` from all samples
+    has an exact order that is not BOUNDARY; the band holds all other nodes.
     """
     coeffs = np.array(s.coeffs)
     lip = float(np.abs(np.arange(-s.d2, s.d1 + 1) * coeffs).sum())
@@ -442,9 +347,7 @@ def _winding_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     samples = _MAX_CURVE_SAMPLES if want >= _MAX_CURVE_SAMPLES * span else math.ceil(want / span)
     gap = 2.0 * math.pi * lip / samples
     pts = s.curve(samples)
-    # Rounding slack: the backward error of roots the Aberth route accepts
-    # (relative residual 10 _TOL_RESIDUAL) and of the sampled curve.
-    slack = 100.0 * _TOL_RESIDUAL * (np.abs(coeffs).sum() + np.abs(zs).max())
+    slack = 2.0**19 * np.finfo(float).eps * (np.abs(coeffs).sum() + np.abs(zs).max())
     radius = gap + 2.0 * TOL_BOUNDARY * lip + slack
     assert np.abs(pts - np.roll(pts, 1)).max() <= gap * (1.0 + 1e-9)
 
@@ -487,35 +390,29 @@ def _winding_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dd, near[np.searchsorted(near, at).clip(max=near.size - 1)] == at
 
 
-def _aberth_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """region_labels by the Aberth iteration at every node of ``zs``:
-    (dd, boundary_mask), with failed iterations reported as boundary."""
-    m = zs.size
-    dd = np.zeros(m, dtype=int)
-    bmask = np.zeros(m, dtype=bool)
-    cmat = np.tile(np.array(s.coeffs, dtype=complex), (m, 1))
+def _root_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """region_labels from the characteristic roots at every node of ``zs``:
+    (dd, boundary_mask).  Nodes where the degree collapses (d1 = 0 and
+    z = a_0) or where the eigensolver fails are reported as boundary."""
+    cmat = np.tile(np.array(s.coeffs, dtype=complex), (zs.size, 1))
     cmat[:, s.d2] -= zs
-    easy = (cmat[:, -1] != 0) & (cmat[:, 0] != 0)
-    for i in np.nonzero(~easy)[0]:
-        try:
-            lab = classify_region(s, complex(zs[i]))
-        except RootFindingError:
-            bmask[i] = True
-            continue
-        if lab == BOUNDARY:
-            bmask[i] = True
-        else:
-            dd[i] = lab
-    rows = np.nonzero(easy)[0]
-    if rows.size:
-        parts = [
-            _aberth_batch(cmat[rows[i : i + _ROOT_BLOCK]])
-            for i in range(0, rows.size, _ROOT_BLOCK)
-        ]
-        roots = np.concatenate([r for r, _ in parts])
-        ok = np.concatenate([o for _, o in parts])
-        dd[rows], clean = _split(s, np.abs(roots))
-        bmask[rows] = ~(ok & clean)
+    dd = np.zeros(zs.size, dtype=int)
+    bmask = cmat[:, -1] == 0
+    rows = np.nonzero(~bmask)[0]
+    ok = np.ones(rows.size, dtype=bool)
+    try:
+        roots = _companion_roots(cmat[rows])
+    except np.linalg.LinAlgError:
+        # One failed matrix fails the whole stack: solve row by row, so only
+        # the rows that fail on their own read boundary.
+        roots = np.zeros((rows.size, s.d), dtype=complex)
+        for k, i in enumerate(rows):
+            try:
+                roots[k] = _companion_roots(cmat[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    dd[rows], clean = _split(s, np.abs(roots))
+    bmask[rows] = ~(ok & clean)
     return dd, bmask
 
 

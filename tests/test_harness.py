@@ -407,18 +407,20 @@ def test_region_map_csv_bytes_match_csv_writer(s, rect, resolution, labels, tmp_
         (Symbol((1.0, 0.5), 0, 1), (-1.0, 2.0, -1.5, 1.5), "boundary"),
         # d2 = 0: z = a_0 = 0.5 gives the zero root of lam^2 + 2 lam.
         (Symbol((0.5, 2.0, 1.0), 2, 0), (-1.0, 4.0, -2.5, 2.5), "1"),
+        # lam^3: z = a_0 = 0 gives a triple zero root, all inside the circle.
+        (Symbol((0.0, 0.0, 0.0, 1.0), 3, 0), (-1.5, 1.5, -1.5, 1.5), "3"),
     ],
-    ids=["degree_collapse", "degree_collapse_centre", "zero_root"],
+    ids=["degree_collapse", "degree_collapse_centre", "zero_root", "triple_zero_root"],
 )
-def test_region_map_bytes_match_aberth_labels(s, rect, degenerate, tmp_path, monkeypatch):
+def test_region_map_bytes_match_root_labels(s, rect, degenerate, tmp_path, monkeypatch):
     """Winding-number labels off the band write the same grid, summary and
-    SVG bytes as Aberth labels at every node, here with the node z = a_0
+    SVG bytes as root labels at every node, here with the node z = a_0
     on the grid."""
     got = run_region_map(s, rect, 61).write(tmp_path / "got")
     monkeypatch.setattr(
         harness,
         "region_labels",
-        lambda s, zs: symbol._aberth_labels(s, np.asarray(zs, complex).ravel()),
+        lambda s, zs: symbol._root_labels(s, np.asarray(zs, complex).ravel()),
     )
     want = run_region_map(s, rect, 61).write(tmp_path / "want")
     assert [p.name for p in got] == [p.name for p in want]
@@ -572,6 +574,8 @@ FORM_ERRORS = {
     "config-gamma-text": lambda q: ExperimentConfig(q, gamma="0.75"),
     "zgrid-resolution-bool": lambda q: ZGrid(rect=(0.0, 1.0, 0.0, 1.0), resolution=True),
     "zgrid-rect-3-entries": lambda q: ZGrid(rect=(0.0, 1.0, 0.0), resolution=3),
+    "zgrid-point-text": lambda q: ZGrid(points=("x",)),
+    "logpot-z-text": lambda q: run_logpot(tiny_config(q), ["3"]),
     "noise-p-text": lambda q: NoiseModel("sparse_bernoulli_gaussian", p="0.2"),
     "regions-rect-text": lambda q: run_region_map(q, ("a", 1.0, 0.0, 1.0), 3),
     "regions-rect-scalar": lambda q: run_region_map(q, 1.0, 3),

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_symbol_and_zs
 import toepspec
 from toepspec import _svg, symbol
 from toepspec import (
@@ -21,7 +22,6 @@ from toepspec import (
     MuASample,
     RootFindingError,
     Symbol,
-    aberth_roots,
     char_poly_coeffs,
     classify_region,
     limit_logpot,
@@ -133,27 +133,41 @@ def test_char_poly_coeffs_frozen(quad, tri):
     assert np.allclose(char_poly_coeffs(tri, z), [1.0, -z, 1.0])
 
 
-def test_aberth_matches_numpy_roots(rng):
-    for deg in (2, 3, 5, 8):
-        for _ in range(5):
-            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            got = np.sort_complex(aberth_roots(c))
-            want = np.sort_complex(np.roots(c[::-1]))
-            scale = max(1.0, float(np.abs(want).max()))
-            assert np.abs(got - want).max() < 1e-8 * scale
+@settings(max_examples=60, deadline=None)
+@given(
+    d1=st.integers(0, 3),
+    d2=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_root_profile_roots_satisfy_vieta_and_residual(d1, d2, seed):
+    # Oracles that take no eigenvalues.  Vieta's sum and product are the
+    # trace and determinant of the companion matrix C, which the
+    # eigensolver's backward error E (||E|| ~ eps ||C||) moves by about
+    # d eps ||C|| and d eps ||C||^d.  The residual |P(lam)| relative to
+    # sum |c_l| |lam|^l must stay well inside the 2^19 eps that the band
+    # slack of region_labels allows.
+    assume(d1 + d2 >= 1)
+    s, zs = random_symbol_and_zs(d1, d2, seed)
+    eps = np.finfo(float).eps
+    for z in zs:
+        c = char_poly_coeffs(s, z)
+        lam = -np.array(root_profile(s, z).roots)  # the zeros of P
+        a = c / c[-1]
+        norm = math.sqrt(s.d - 1 + float(np.sum(np.abs(a[:-1]) ** 2)))  # ||C||_F
+        assert abs(lam.sum() + a[-2]) <= 16 * s.d * eps * norm, z
+        assert abs(np.prod(lam) - (-1) ** s.d * a[0]) <= 16 * s.d * eps * max(norm, 1.0) ** s.d, z
+        residual = np.abs(np.polyval(c[::-1], lam))
+        assert np.all(residual <= 2**12 * eps * np.polyval(np.abs(c[::-1]), np.abs(lam))), z
 
 
-def test_aberth_strips_zero_roots():
-    # lam^3 + 2 lam^2 = lam^2 (lam + 2)
-    got = np.sort_complex(aberth_roots(np.array([0.0, 0.0, 2.0, 1.0], complex)))
-    assert np.abs(got - np.array([-2.0, 0.0, 0.0])).max() < 1e-12
-
-
-def test_aberth_small_degrees():
-    with pytest.raises(ValueError):
-        aberth_roots(np.array([2.0], complex))  # constant: no roots to find
-    got = aberth_roots(np.array([3.0, -1.5], complex))
-    assert got == pytest.approx([2.0])
+def test_root_profile_exact_zero_roots():
+    # lam^3 at z = 0: the triple root 0 is an ordinary eigenvalue, inside
+    # the unit circle, so d0 = 0.
+    cube = Symbol((0.0, 0.0, 0.0, 1.0), 3, 0)
+    prof = root_profile(cube, 0.0)
+    assert max(abs(r) for r in prof.roots) < 1.0
+    assert (prof.d0, prof.dd) == (0, cube.d1)
+    assert not prof.boundary
 
 
 def test_root_profile_frozen_quad(quad):
@@ -223,8 +237,10 @@ def test_classify_region_frozen(quad):
         (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), [0.2]),
         # d2 = 0: z = a_0 = 0.5 gives the zero root of lam^2 + 2 lam.
         (Symbol((0.5, 2.0, 1.0), 2, 0), (-1.0, 4.0, -2.5, 2.5), [0.5]),
+        # lam^3: z = a_0 = 0 gives a triple zero root.
+        (Symbol((0.0, 0.0, 0.0, 1.0), 3, 0), (-1.5, 1.5, -1.5, 1.5), [0.0]),
     ],
-    ids=["quad", "ellipse", "degree_collapse", "zero_root"],
+    ids=["quad", "ellipse", "degree_collapse", "zero_root", "triple_zero_root"],
 )
 def test_region_labels_match_scalar(s, rect, extra):
     xs = np.linspace(rect[0], rect[1], 7)
@@ -276,48 +292,6 @@ def test_region_labels_flags_curve_points(quad):
     dd, bmask = region_labels(quad, np.array([2.0 + 0j, 3.0 + 0j]))
     assert bmask[0] and not bmask[1]
     assert dd[1] == 0
-
-
-def _stacked_batches(rng):
-    """Per degree 2..6: random rows plus one row with an exact double root
-    (QUAD at z = -1/4 times random linear factors), as an (rows, deg+1) batch."""
-    for deg in range(2, 7):
-        rows = rng.standard_normal((40, deg + 1)) + 1j * rng.standard_normal((40, deg + 1))
-        double = np.array([0.25, 1.0, 1.0], complex)  # (lam + 1/2)^2
-        for _ in range(deg - 2):
-            double = np.convolve(double, [complex(*rng.standard_normal(2)), 1.0])
-        yield np.vstack([rows[:17], double, rows[17:]])
-
-
-def test_aberth_batch_rows_are_independent(rng):
-    for c in _stacked_batches(rng):
-        roots, ok = symbol._aberth_batch(c)
-        singles = [symbol._aberth_batch(row[None, :]) for row in c]
-        assert np.array_equal(roots, np.vstack([r for r, _ in singles]))
-        assert np.array_equal(ok, np.concatenate([o for _, o in singles]))
-        assert ok.all()
-
-
-def test_region_labels_blocks_do_not_change_labels(quad, monkeypatch):
-    # Only nodes near the curve reach the Aberth blocks: points of a(S^1),
-    # some shifted by 1e-3, more of them than one block holds.
-    offsets = np.array([0.0, 1e-3, -1e-3, 1e-3j, -1e-3j])
-    zs = (quad.curve(2000)[:, None] + offsets).ravel()
-    assert zs.size > symbol._ROOT_BLOCK
-    batch_rows = []
-    real_batch = symbol._aberth_batch
-
-    def counting_batch(c):
-        batch_rows.append(c.shape[0])
-        return real_batch(c)
-
-    monkeypatch.setattr(symbol, "_aberth_batch", counting_batch)
-    dd, bmask = region_labels(quad, zs)
-    assert len(batch_rows) > 1 and max(batch_rows) <= symbol._ROOT_BLOCK
-    assert sum(batch_rows) == zs.size
-    parts = [region_labels(quad, zs[i : i + 5000]) for i in range(0, zs.size, 5000)]
-    assert np.array_equal(dd, np.concatenate([p[0] for p in parts]))
-    assert np.array_equal(bmask, np.concatenate([p[1] for p in parts]))
 
 
 def _random_symbol(d1, d2, seed):
@@ -393,35 +367,40 @@ TENTPOLE_SYMBOLS = [
 
 
 @pytest.mark.parametrize("s, rect", TENTPOLE_SYMBOLS, ids=["quad", "d1_d2_1", "d1_d2_2"])
-def test_region_labels_match_aberth_on_every_node(s, rect):
+def test_region_labels_match_root_labels_on_every_node(s, rect):
     xs = np.linspace(rect[0], rect[1], 120)
     ys = np.linspace(rect[2], rect[3], 120)
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
     dd, bmask = region_labels(s, zs)
-    want_dd, want_bmask = symbol._aberth_labels(s, zs)
+    want_dd, want_bmask = symbol._root_labels(s, zs)
     assert np.array_equal(bmask, want_bmask)
     assert np.array_equal(dd[~bmask], want_dd[~want_bmask])
     assert symbol._winding_labels(s, zs)[1].sum() < 0.1 * zs.size
 
 
-def test_aberth_converges_on_the_benchmark_grid(quad, monkeypatch):
-    # Off the band region_labels trusts winding numbers where the Aberth
-    # route would have reported a failed iteration as boundary, so the two
-    # agree only while no iteration fails: none does on criterion 5's grid.
-    oks = []
-    real_batch = symbol._aberth_batch
+def test_eigensolver_failure_reads_boundary_at_that_node_only(quad, monkeypatch):
+    # np.linalg.eigvals fails a whole stack when one matrix fails; the band
+    # labels then solve row by row, so only the failing node reads boundary.
+    xs = np.linspace(-2.5, 3.5, 61)
+    ys = np.linspace(-3.0, 3.0, 61)
+    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
+    want_dd, want_bmask = region_labels(quad, zs)
+    band = symbol._winding_labels(quad, zs)[1]
+    bad = np.nonzero(band & ~want_bmask)[0][0]
+    real_eigvals = np.linalg.eigvals
 
-    def recording_batch(c):
-        roots, ok = real_batch(c)
-        oks.append(ok)
-        return roots, ok
+    def failing_eigvals(m):
+        # QUAD's companion matrix at z holds z in its top right entry.
+        if np.any(m[..., 0, -1] == zs[bad]):
+            raise np.linalg.LinAlgError("forced non-convergence")
+        return real_eigvals(m)
 
-    monkeypatch.setattr(symbol, "_aberth_batch", recording_batch)
-    xs = np.linspace(-2.5, 3.5, 400)
-    ys = np.linspace(-3.0, 3.0, 400)
-    symbol._aberth_labels(quad, (xs[None, :] + 1j * ys[:, None]).ravel())
-    ok = np.concatenate(oks)
-    assert ok.size == xs.size * ys.size and ok.all()
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    dd, bmask = region_labels(quad, zs)
+    assert np.nonzero(bmask != want_bmask)[0].tolist() == [bad]
+    assert np.array_equal(dd[~bmask], want_dd[~bmask])
+    with pytest.raises(RootFindingError):
+        root_profile(quad, zs[bad])
 
 
 def test_region_svg_runs_by_hand():
@@ -524,10 +503,10 @@ def test_sample_mu_a_lands_on_curve(quad):
     assert dist.max() < 1e-2
 
 
-# The iteration cap, residual and boundary tolerances, expansion guard,
-# quadrature size and tail exponents are module constants, not parameters.
+# The boundary tolerance, expansion guard, quadrature size and tail exponents
+# are module constants, and the root finder has no iteration cap or residual:
+# none of them is a parameter.
 REMOVED_PARAMETERS = {
-    "aberth_roots": ("max_iter", "tol"),
     "root_profile": ("tol_boundary", "max_iter", "tol_residual"),
     "classify_region": ("tol_boundary",),
     "region_labels": ("tol_boundary", "max_iter"),
