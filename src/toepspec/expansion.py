@@ -177,17 +177,18 @@ def _region_scale(s: Symbol, z: complex) -> tuple[int, int, float]:
     return prof.dd, prof.d0, _log_potential(s, prof)
 
 
-def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> tuple[complex, list]:
-    """P_0 = det T_N(z) and the k = 1..d minor tables: what draws on one support share."""
+def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> list:
+    """The k = 0..d minor tables of T_N(z), what draws on one support share;
+    the k = 0 table holds det T_N(z) alone, so P_0 takes the route of every P_k."""
     tz = build_z(s, z, n)
-    return lu_det(tz), [_minor_table(tz, rows, cols, k) for k in range(1, s.d + 1)]
+    return [_minor_table(tz, rows, cols, k) for k in range(s.d + 1)]
 
 
-def _report(scale, n: int, p0: complex, tables, delta: np.ndarray) -> DominanceReport:
+def _report(scale, n: int, tables, delta: np.ndarray) -> DominanceReport:
     """The report on one draw ``delta`` from ``_region_scale`` and ``_corner_tables``."""
     label, d0, log_pot = scale
     log_norm = n * log_pot
-    p_values = [p0] + [_table_sum(table, delta) for table in tables]
+    p_values = [_table_sum(table, delta) for table in tables]
     p_abs = [abs(p) for p in p_values]
     ad = abs(label)
     above = sum(p_abs[ad + 1 :])
@@ -214,7 +215,7 @@ def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
         raise ValueError("perturbation must be square")
     n = delta.shape[0]
     tables = _corner_tables(s, z, n, *_support(np.argwhere(delta != 0).tolist()))
-    return _report(scale, n, *tables, delta)
+    return _report(scale, n, tables, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -481,10 +481,14 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
 
 
 def _off_boundary(s: Symbol, z) -> complex:
-    """``z`` as a complex number, checked to lie off the region boundary."""
+    """``z`` as a complex number, checked to lie off the region boundary and
+    to have characteristic roots."""
     z = _json_complex(z, "z")
     if classify_region(s, z) == BOUNDARY:
-        raise ConfigError(f"z = {z} lies on the region boundary")
+        raise ConfigError(
+            f"z = {z} lies on the region boundary, or has no characteristic roots "
+            "(d1 = 0 and z = a_0, where the degree collapses)"
+        )
     return z
 
 
@@ -743,7 +747,7 @@ def run_expansion(
         tables = _corner_tables(s, z, n, *_support(corner_support(n, s.d1, s.d2)))
         for t in range(draws):
             delta = corner_delta(s, n, gamma_star, seed_sequence(seed, DOMAIN_CORNER, n, t))
-            rep = _report(scale, n, *tables, delta)
+            rep = _report(scale, n, tables, delta)
             records.append(
                 {
                     "n": n,

@@ -99,21 +99,21 @@ class Symbol:
 
     def __post_init__(self):
         if self.d1 < 0 or self.d2 < 0:
-            raise ValueError("d1 and d2 must be nonnegative")
+            raise ConfigError("d1 and d2 must be nonnegative")
         if self.d1 + self.d2 < 1:
-            raise ValueError("symbol must have at least one nonzero band")
+            raise ConfigError("symbol must have at least one nonzero band")
         coeffs = tuple(complex(c) for c in self.coeffs)
         if len(coeffs) != self.d1 + self.d2 + 1:
-            raise ValueError(
+            raise ConfigError(
                 f"expected {self.d1 + self.d2 + 1} coefficients "
                 f"(a_-d2..a_d1), got {len(coeffs)}"
             )
         if coeffs[-1] == 0:
-            raise ValueError("leading coefficient a_d1 must be nonzero")
+            raise ConfigError("leading coefficient a_d1 must be nonzero")
         if self.d2 > 0 and coeffs[0] == 0:
-            raise ValueError("trailing coefficient a_-d2 must be nonzero")
+            raise ConfigError("trailing coefficient a_-d2 must be nonzero")
         if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
-            raise ValueError("coefficients must be finite")
+            raise ConfigError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -163,10 +163,10 @@ class Symbol:
     def from_json(cls, data) -> "Symbol":
         """Build from a JSON object: {"d1":., "d2":., "coeffs":[[re,im],..]}."""
         if not isinstance(data, dict):
-            raise ValueError("symbol JSON must be an object")
+            raise ConfigError("symbol JSON must be an object")
         extra = set(data) - {"d1", "d2", "coeffs"}
         if extra:
-            raise ValueError(f"unknown symbol fields: {sorted(extra)}")
+            raise ConfigError(f"unknown symbol fields: {sorted(extra)}")
         try:
             d1 = _json_int(data["d1"], "d1")
             d2 = _json_int(data["d2"], "d2")
@@ -175,7 +175,7 @@ class Symbol:
                 for re, im in data["coeffs"]
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed symbol JSON: {exc}") from exc
+            raise ConfigError(f"malformed symbol JSON: {exc}") from exc
         return cls(coeffs, d1, d2)
 
 
@@ -183,8 +183,8 @@ class Symbol:
 class RootProfile:
     """Characteristic roots of a symbol at a point z (negated convention).
 
-    ``roots`` are sorted by nonincreasing modulus, ties broken by descending
-    real then imaginary part.  ``d0`` counts moduli >= 1, ``dd = d1 - d0`` is
+    ``roots`` are sorted by nonincreasing modulus; roots of equal modulus
+    come in no set order.  ``d0`` counts moduli >= 1, ``dd = d1 - d0`` is
     the region order, ``boundary`` marks a modulus within ``TOL_BOUNDARY`` of
     1, and ``near_double`` flags a root pair closer than ``TOL_DOUBLE``.
     """
@@ -225,22 +225,29 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _sorted_roots(lam: np.ndarray) -> np.ndarray:
-    """Sort by nonincreasing modulus; near-ties by (-re, -im)."""
-    moduli = np.abs(lam)
-    order = np.argsort(-moduli, kind="stable")
-    lam = lam[order]
-    moduli = moduli[order]
-    i = 0
-    n = lam.size
-    while i < n:
-        j = i + 1
-        while j < n and moduli[i] - moduli[j] <= 1e-12 * max(1.0, moduli[i]):
-            j += 1
-        if j - i > 1:
-            lam[i:j] = sorted(lam[i:j], key=lambda w: (-w.real, -w.imag))
-        i = j
-    return lam
+def _roots(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored roots at each node of ``zs``, a (B, d) array whose rows are
+    sorted by nonincreasing modulus, and the mask of the nodes that have
+    roots.  The mask is off where the degree collapses (d1 = 0 and z = a_0)
+    and where the eigensolver fails; those rows hold zeros."""
+    cmat = np.tile(np.array(s.coeffs, dtype=complex), (zs.size, 1))
+    cmat[:, s.d2] -= zs
+    ok = cmat[:, -1] != 0
+    rows = np.nonzero(ok)[0]
+    roots = np.zeros((zs.size, s.d), dtype=complex)
+    try:
+        roots[rows] = _companion_roots(cmat[rows])
+    except np.linalg.LinAlgError:
+        # One failed matrix fails the whole stack: solve row by row, so only
+        # the rows that fail on their own are masked.
+        for i in rows:
+            try:
+                roots[i] = _companion_roots(cmat[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    lam = -roots
+    order = np.argsort(-np.abs(lam), axis=1, kind="stable")
+    return np.take_along_axis(lam, order, axis=1), ok
 
 
 def _split(s: Symbol, moduli):
@@ -259,16 +266,13 @@ def root_profile(s: Symbol, z: complex) -> RootProfile:
     fails.
     """
     z = complex(z)
-    c = char_poly_coeffs(s, z)
-    if c[-1] == 0:
+    roots, ok = _roots(s, np.array([z]))
+    if not ok[0]:
         raise RootFindingError(
-            "characteristic polynomial degenerates at this z (d1 = 0 and z = a_0)"
+            f"no characteristic roots at z = {z}: the degree collapses "
+            "(d1 = 0 and z = a_0) or the eigensolver failed"
         )
-    try:
-        roots = _companion_roots(c[np.newaxis, :])[0]
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"eigensolver failed at z = {z}: {exc}") from exc
-    lam = _sorted_roots(-roots)
+    lam = roots[0]
     dd, clean = _split(s, np.abs(lam))
     near_double = False
     if lam.size > 1:
@@ -287,9 +291,10 @@ def root_profile(s: Symbol, z: complex) -> RootProfile:
 
 def classify_region(s: Symbol, z: complex) -> int | str:
     """Region order dd = d1 - d0 at z, or BOUNDARY when a root modulus lies
-    within TOL_BOUNDARY of 1."""
-    prof = root_profile(s, z)
-    return BOUNDARY if prof.boundary else prof.dd
+    within TOL_BOUNDARY of 1, the degree collapses (d1 = 0 and z = a_0) or
+    the eigensolver fails: the label region_labels gives the node z."""
+    dd, bmask = _root_labels(s, np.array([complex(z)]))
+    return BOUNDARY if bmask[0] else int(dd[0])
 
 
 def region_labels(s: Symbol, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -392,28 +397,11 @@ def _winding_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _root_labels(s: Symbol, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """region_labels from the characteristic roots at every node of ``zs``:
-    (dd, boundary_mask).  Nodes where the degree collapses (d1 = 0 and
-    z = a_0) or where the eigensolver fails are reported as boundary."""
-    cmat = np.tile(np.array(s.coeffs, dtype=complex), (zs.size, 1))
-    cmat[:, s.d2] -= zs
-    dd = np.zeros(zs.size, dtype=int)
-    bmask = cmat[:, -1] == 0
-    rows = np.nonzero(~bmask)[0]
-    ok = np.ones(rows.size, dtype=bool)
-    try:
-        roots = _companion_roots(cmat[rows])
-    except np.linalg.LinAlgError:
-        # One failed matrix fails the whole stack: solve row by row, so only
-        # the rows that fail on their own read boundary.
-        roots = np.zeros((rows.size, s.d), dtype=complex)
-        for k, i in enumerate(rows):
-            try:
-                roots[k] = _companion_roots(cmat[i : i + 1])[0]
-            except np.linalg.LinAlgError:
-                ok[k] = False
-    dd[rows], clean = _split(s, np.abs(roots))
-    bmask[rows] = ~(ok & clean)
-    return dd, bmask
+    (dd, boundary_mask).  Nodes without roots (see ``_roots``) are reported
+    as boundary."""
+    roots, ok = _roots(s, zs)
+    dd, clean = _split(s, np.abs(roots))
+    return dd, ~(ok & clean)
 
 
 def limit_logpot(s: Symbol, z: complex) -> float:

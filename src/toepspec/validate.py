@@ -19,7 +19,7 @@ from .expansion import (
 )
 from .linalg import eigenvalues, haar_unitary, lu_logdet
 from .noise import NoiseModel, corner_support, sample
-from .symbol import Symbol, char_poly_coeffs, region_labels, root_profile
+from .symbol import Symbol, region_labels, root_profile
 from .toeplitz import build, build_z, moment_lhs, moment_rhs, trace_word, widom_sum
 
 Check = tuple[str, bool, str]
@@ -38,14 +38,6 @@ def _cofactor_det(m: np.ndarray) -> complex:
         total += sign * m[0, j] * _cofactor_det(minor)
         sign = -sign
     return total
-
-
-def _companion_roots(c: np.ndarray) -> np.ndarray:
-    deg = c.size - 1
-    comp = np.zeros((deg, deg), dtype=complex)
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -c[:-1] / c[-1]
-    return eigenvalues(comp).eigenvalues
 
 
 def _match_multisets(a: np.ndarray, b: np.ndarray) -> float:
@@ -88,7 +80,7 @@ def run_checks() -> list[Check]:
         worst = max(worst, _match_multisets(got_r, roots))
     checks.append(("root_profile vs known roots", worst < 1e-8, f"max err {worst:.2e}"))
 
-    # --- region labels vs d1 - #{|lam| >= 1} from companion-matrix roots
+    # --- region labels vs d1 - #{|lam| >= 1} from root_profile's roots
     srg = generator(7)
     s = Symbol(tuple(srg.standard_normal(4) + 1j * srg.standard_normal(4)), d1=2, d2=1)
     curve = s.curve(256)
@@ -98,7 +90,7 @@ def run_checks() -> list[Check]:
     dd, bmask = region_labels(s, zs)
     checked = mismatched = 0
     for z, order in zip(zs[~bmask], dd[~bmask]):
-        moduli = np.abs(_companion_roots(char_poly_coeffs(s, z)))
+        moduli = np.abs(root_profile(s, z).roots)
         if np.abs(moduli - 1.0).min() < 1e-6:
             continue
         checked += 1

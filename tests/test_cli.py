@@ -382,6 +382,8 @@ def test_regions_config_applies_set_and_rejects_unknown_fields(tmp_path, capsys)
 
 
 CORNER_NOISE = {"kind": "corner_delta", "gamma_star": 1.0}
+# lam^{-1} + 1/2: d1 = 0, so at z = a_0 = 0.5 the characteristic degree collapses.
+COLLAPSE_JSON = {"d1": 0, "d2": 1, "coeffs": [[1.0, 0.0], [0.5, 0.0]]}
 
 
 def quad_flags(*extra):
@@ -405,6 +407,8 @@ BAD_INPUTS = {
     "resolution-1": lambda p: ["regions", *quad_flags("--rect=-1,1,-1,1", "--resolution", "1")],
     "expand-gamma-star": lambda p: ["expand", *quad_flags("--z", "3", "--gamma-star", "1")],
     "expand-z-on-curve": lambda p: ["expand", *quad_flags("--z", "2")],
+    "expand-degree-collapse": lambda p: ["expand", "--symbol", json.dumps(COLLAPSE_JSON), "--z", "0.5"],
+    "logpot-degree-collapse": lambda p: ["logpot", *config_flag(p, symbol=COLLAPSE_JSON), "--z", "0.5"],
     "expand-size-2": lambda p: ["expand", *quad_flags("--z", "3", "--sizes", "2")],
     "spectrum-corner": lambda p: ["spectrum", *config_flag(p, noise=CORNER_NOISE)],
     "logpot-corner": lambda p: ["logpot", *config_flag(p, noise=CORNER_NOISE)],
@@ -440,6 +444,8 @@ BAD_INPUTS = {
 # The error of the cases above that leave a field out or give it the wrong
 # type: it names the field, and the runner that needs a missing one.
 ERROR_TEXT = {
+    "expand-degree-collapse": "(d1 = 0 and z = a_0, where the degree collapses)",
+    "logpot-degree-collapse": "(d1 = 0 and z = a_0, where the degree collapses)",
     "expand-size-fraction": "sizes entry must be an integer, got 10.9",
     "config-not-object": "config must be a JSON object",
     "spectrum-no-sizes": "spectrum needs config field(s) ['sizes']",

@@ -583,6 +583,10 @@ FORM_ERRORS = {
         tiny_config(q), 1.0, 2.5, NoiseModel("rademacher")
     ),
     "expand-gamma-star-text": lambda q: run_expansion(q, 3.0, [6], 2, "4", 0),
+    "symbol-coeff-count": lambda q: Symbol((0, 1), 2, 0),
+    "symbol-json-d1-fraction": lambda q: Symbol.from_json(
+        {"d1": 2.5, "d2": 0, "coeffs": [[0, 0], [1, 0], [1, 0]]}
+    ),
 }
 
 
