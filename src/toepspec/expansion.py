@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import generator
 from .linalg import as_matrix, lu_det
-from .symbol import Symbol, _log_potential, root_profile
+from .symbol import ConfigError, Symbol, _log_potential, root_profile
 from .toeplitz import build_z
 
 __all__ = [
@@ -53,10 +53,11 @@ def perm_sign(x, n: int) -> int:
     return -1 if inv % 2 else 1
 
 
-def _support(pairs) -> tuple[list, list]:
-    """Sorted rows and columns of (row, col) pairs, guarded against a large enumeration."""
-    rows = sorted({i for i, _ in pairs})
-    cols = sorted({j for _, j in pairs})
+def _support(rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct rows and columns of the entries at (rows, cols),
+    guarded against a large enumeration."""
+    rows = np.unique(np.asarray(rows, dtype=np.intp))
+    cols = np.unique(np.asarray(cols, dtype=np.intp))
     if max(len(rows), len(cols)) > _GUARD:
         raise ValueError(
             f"perturbation support too large to enumerate ({len(rows)} rows, "
@@ -66,31 +67,37 @@ def _support(pairs) -> tuple[list, list]:
 
 
 def _minor_table(a: np.ndarray, rows, cols, k: int) -> tuple:
-    """The k-subsets X of rows and Y of cols as (P, k) index arrays, pair by
-    pair, with each pair's signed minor sign(X) sign(Y) det(A[X^c, Y^c])."""
+    """The k-subsets X of rows and Y of cols, pair by pair, as (P, k) arrays
+    of positions in ``rows`` and ``cols``, with each pair's signed minor
+    sign(X) sign(Y) det(A[X^c, Y^c])."""
     n = a.shape[0]
     every = np.arange(n)
-    pairs = [(x, y) for x in combinations(rows, k) for y in combinations(cols, k)]
+    pairs = [
+        (x, y) for x in combinations(range(len(rows)), k) for y in combinations(range(len(cols)), k)
+    ]
     xs = np.array([x for x, _ in pairs], dtype=np.intp).reshape(len(pairs), k)
     ys = np.array([y for _, y in pairs], dtype=np.intp).reshape(len(pairs), k)
     minors = np.array(
         [
             perm_sign(x, n) * perm_sign(y, n)
             * lu_det(a[np.ix_(np.delete(every, x), np.delete(every, y))])
-            for x, y in pairs
+            for x, y in zip(rows[xs], cols[ys])
         ],
         dtype=complex,
     )
     return xs, ys, minors
 
 
-def _table_sum(table, b: np.ndarray) -> complex:
-    """sum over the table of its signed minor times det(B[X, Y]), skipping
-    exact zeros; the k x k blocks B[X, Y] go to one stacked det call."""
+def _table_sums(table, blocks: np.ndarray) -> list[complex]:
+    """For each (rows x cols) block B of the (D, R, C) stack ``blocks``, the
+    sum over the table of its signed minor times det(B[X, Y]), in table
+    order and skipping exact zeros; the D x P k x k blocks go to one stacked
+    det call.  Each draw is summed on its own, since a masked sum over the
+    whole stack would change numpy's pairwise grouping and so the rounding."""
     xs, ys, minors = table
-    dets = np.linalg.det(b[xs[:, :, None], ys[:, None, :]])
-    keep = dets != 0
-    return complex(np.sum(minors[keep] * dets[keep]))
+    dets = np.linalg.det(blocks[:, xs[:, :, None], ys[:, None, :]])
+    terms = minors * dets
+    return [complex(np.sum(row[keep])) for row, keep in zip(terms, dets != 0)]
 
 
 def det_sum_decomposition(a, b) -> complex:
@@ -108,9 +115,10 @@ def det_sum_decomposition(a, b) -> complex:
     n = a.shape[0]
     if n > _GUARD:
         raise ValueError(f"decomposition guarded to n <= {_GUARD}, got {n}")
-    rows, cols = _support(np.argwhere(b != 0).tolist())
+    rows, cols = _support(*np.nonzero(b))
+    block = b[np.ix_(rows, cols)][None]
     ks = range(min(len(rows), len(cols)) + 1)
-    return complex(sum(_table_sum(_minor_table(a, rows, cols, k), b) for k in ks))
+    return complex(sum(_table_sums(_minor_table(a, rows, cols, k), block)[0] for k in ks))
 
 
 def bidiag_subdet(zfrak: complex, x, y, n: int) -> complex:
@@ -179,16 +187,23 @@ def _region_scale(s: Symbol, z: complex) -> tuple[int, int, float]:
 
 def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> list:
     """The k = 0..d minor tables of T_N(z), what draws on one support share;
-    the k = 0 table holds det T_N(z) alone, so P_0 takes the route of every P_k."""
+    the k = 0 table holds det T_N(z) alone, so P_0 takes the route of every
+    P_k.  The terms are plain complex floats, so a det T_N(z) or minor past
+    double range is a ConfigError."""
     tz = build_z(s, z, n)
-    return [_minor_table(tz, rows, cols, k) for k in range(s.d + 1)]
+    try:
+        return [_minor_table(tz, rows, cols, k) for k in range(s.d + 1)]
+    except OverflowError as exc:
+        raise ConfigError(
+            f"det T_N(z) at N = {n} leaves double range; the expansion terms "
+            "are complex floats, so take a smaller N"
+        ) from exc
 
 
-def _report(scale, n: int, tables, delta: np.ndarray) -> DominanceReport:
-    """The report on one draw ``delta`` from ``_region_scale`` and ``_corner_tables``."""
+def _report(scale, n: int, p_values) -> DominanceReport:
+    """The report on one draw's terms P_0..P_d, with ``scale`` from ``_region_scale``."""
     label, d0, log_pot = scale
     log_norm = n * log_pot
-    p_values = [_table_sum(table, delta) for table in tables]
     p_abs = [abs(p) for p in p_values]
     ad = abs(label)
     above = sum(p_abs[ad + 1 :])
@@ -206,6 +221,20 @@ def _report(scale, n: int, tables, delta: np.ndarray) -> DominanceReport:
     )
 
 
+def _corner_reports(s: Symbol, z: complex, scale, n: int, rows, cols, vals) -> list:
+    """One ``DominanceReport`` per draw at size ``n``: row t of the (D, m)
+    ``vals`` holds draw t's corner entries at (``rows``, ``cols``).  The
+    T_N(z) minors are factored once for all draws, each draw's entries go
+    into a (rows x cols) corner block, and each k makes one det call over
+    all draws and pairs; no N x N perturbation is built."""
+    rs, cs = _support(rows, cols)
+    tables = _corner_tables(s, z, n, rs, cs)
+    blocks = np.zeros((len(vals), len(rs), len(cs)), dtype=complex)
+    blocks[:, np.searchsorted(rs, rows), np.searchsorted(cs, cols)] = vals
+    sums = [_table_sums(table, blocks) for table in tables]
+    return [_report(scale, n, p_values) for p_values in zip(*sums)]
+
+
 def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
     """Expansion-term magnitudes of det(T_N(z) + Delta) relative to the
     limiting scale, for z in an open region (boundary z rejected)."""
@@ -213,9 +242,8 @@ def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
     delta = as_matrix(delta)
     if delta.shape[0] != delta.shape[1]:
         raise ValueError("perturbation must be square")
-    n = delta.shape[0]
-    tables = _corner_tables(s, z, n, *_support(np.argwhere(delta != 0).tolist()))
-    return _report(scale, n, tables, delta)
+    rows, cols = np.nonzero(delta)
+    return _corner_reports(s, z, scale, delta.shape[0], rows, cols, delta[rows, cols][None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ reads; the CLI's dry run calls the same step.  Artifacts serialize to
 JSONL/CSV (and optional static SVG) with canonical, byte-stable formatting:
 the same inputs give identical files.
 
-Trials run on a thread pool sized by the TOEPSPEC_THREADS environment
-variable (default: CPU count); results are reduced in fixed cell order, so
-the thread count never changes the output.
+``spectrum`` trials and entrywise-noise ``logpot`` cells run on a thread
+pool sized by the TOEPSPEC_THREADS environment variable (default: CPU
+count); results are reduced in fixed cell order, so the thread count never
+changes the output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
@@ -39,14 +39,14 @@ from ._rng import (
     DOMAIN_REPLACE,
     seed_sequence,
 )
-from .expansion import _corner_tables, _region_scale, _report, _support
+from .expansion import _corner_reports, _region_scale
 from .linalg import (
     band_logdet, eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals,
 )
-from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, corner_support, sample
+from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, sample
 from .symbol import (
-    BOUNDARY, ConfigError, Symbol, _json_float, _json_int, classify_region, limit_logpot,
-    region_labels, sample_mu_a,
+    BOUNDARY, ConfigError, Symbol, _json_complex, _json_float, _json_int, classify_region,
+    limit_logpot, region_labels, sample_mu_a,
 )
 from .toeplitz import build, build_z, interleaved_band
 
@@ -70,14 +70,6 @@ THREADS_ENV = "TOEPSPEC_THREADS"
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-
-def _json_complex(value, name: str) -> complex:
-    """A z point's value as a complex number: a bool or a non-number (text
-    included) raises ConfigError instead of being parsed."""
-    if isinstance(value, numbers.Number) and not isinstance(value, bool):
-        return complex(value)
-    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -419,6 +411,14 @@ def perturbation(s: Symbol, model: NoiseModel, gamma: float, n: int, seed) -> np
     return float(n) ** (-gamma) * sample(model, n, seed)
 
 
+def _corner_draws(s: Symbol, n: int, gamma_star: float, seeds):
+    """One ``corner_entries`` draw per seed, as the (rows, cols) they share
+    and a (draws, m) stack of their values."""
+    entries = [corner_entries(s, n, gamma_star, seed) for seed in seeds]
+    rows, cols, _ = entries[0]
+    return rows, cols, np.stack([vals for _, _, vals in entries])
+
+
 def _esd_inputs(config: ExperimentConfig) -> dict:
     """run_esd's inputs echo."""
     names = ("symbol", "sizes", "gamma", "noise", "trials", "mu_samples", "seed")
@@ -553,9 +553,11 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     against the limiting log-potential, per (z, N, trial).
 
     A corner perturbation keeps T_N(z) + Delta a band matrix that wraps
-    around, so each (N, trial) cell makes one ``band_logdet`` call over the
-    whole z list, on the interleaved band; entrywise noise is dense and
-    takes one ``lu_logdet`` per z."""
+    around, and every trial at one size shares its corner support and so its
+    band widths: each size makes one ``band_logdet`` call over every
+    (trial, z), on the interleaved bands of the stacked corner entries.
+    Entrywise noise is dense; its (size, trial) cells run on the thread pool
+    and take one ``lu_logdet`` per z."""
     s = config.symbol
     inputs = _logpot_inputs(config, z_list)
     z_list = [complex(re, im) for re, im in inputs["z_grid"]["points"]]
@@ -563,29 +565,32 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     root = seed_sequence(config.seed)
     cells = [(n, t) for n in config.sizes for t in range(config.trials)]
     model = config.noise
+    if model.kind == "corner_delta":
+        lds = []
+        for n in config.sizes:
+            seeds = [seed_sequence(root, DOMAIN_LOGPOT, n, t) for t in range(config.trials)]
+            entries = _corner_draws(s, n, model.gamma_star, seeds)
+            lds += band_logdet(*interleaved_band(s, z_list, n, *entries))
+    else:
 
-    def work(cell):
-        n, t = cell
-        seed = seed_sequence(root, DOMAIN_LOGPOT, n, t)
-        if model.kind == "corner_delta":
-            entries = corner_entries(s, n, model.gamma_star, seed)
-            lds = band_logdet(*interleaved_band(s, z_list, n, *entries))
-        else:
-            pert = perturbation(s, model, config.gamma, n, seed)
-            lds = [lu_logdet(build_z(s, z, n) + pert) for z in z_list]
-        return [
-            {
-                "z": _cpair(z),
-                "n": n,
-                "trial": t,
-                "log_pot": None if ld.singular else ld.log_abs / n,
-                "limit": limits[z],
-                "singular": ld.singular,
-            }
-            for z, ld in zip(z_list, lds)
-        ]
+        def work(cell):
+            n, t = cell
+            pert = perturbation(s, model, config.gamma, n, seed_sequence(root, DOMAIN_LOGPOT, n, t))
+            return [lu_logdet(build_z(s, z, n) + pert) for z in z_list]
 
-    records = [rec for group in _run_cells(cells, work) for rec in group]
+        lds = [ld for group in _run_cells(cells, work) for ld in group]
+    keys = [(n, t, z) for n, t in cells for z in z_list]
+    records = [
+        {
+            "z": _cpair(z),
+            "n": n,
+            "trial": t,
+            "log_pot": None if ld.singular else ld.log_abs / n,
+            "limit": limits[z],
+            "singular": ld.singular,
+        }
+        for (n, t, z), ld in zip(keys, lds)
+    ]
     summary = []
     for z in z_list:
         zp = _cpair(z)
@@ -744,10 +749,9 @@ def run_expansion(
     scale = _region_scale(s, z)
     records = []
     for n in sizes:
-        tables = _corner_tables(s, z, n, *_support(corner_support(n, s.d1, s.d2)))
-        for t in range(draws):
-            delta = corner_delta(s, n, gamma_star, seed_sequence(seed, DOMAIN_CORNER, n, t))
-            rep = _report(scale, n, tables, delta)
+        seeds = [seed_sequence(seed, DOMAIN_CORNER, n, t) for t in range(draws)]
+        entries = _corner_draws(s, n, gamma_star, seeds)
+        for t, rep in enumerate(_corner_reports(s, z, scale, n, *entries)):
             records.append(
                 {
                     "n": n,

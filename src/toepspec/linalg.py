@@ -152,9 +152,12 @@ def band_logdet(ab, kl: int, ku: int) -> list[LogDet]:
             pivots[k] = top[:, 0]
             if kl:
                 w[:, 1:, 1:] -= (w[:, 1:, :1] / top[:, None, :1]) * top[:, None, 1:]
+        # The log sum and phase product run down the pivots one step at a
+        # time, so a matrix's result does not depend on its batch: a plain
+        # sum over a batch of one would switch to pairwise summation.
         mags = np.abs(pivots)
-        log_abs = np.log(mags).sum(axis=0)
-        phase = np.prod(pivots / mags, axis=0)
+        log_abs = np.add.accumulate(np.log(mags), axis=0)[-1]
+        phase = np.multiply.accumulate(pivots / mags, axis=0)[-1]
         phase /= np.abs(phase)
     phase *= np.where((picks != 0).sum(axis=0) % 2, -1.0, 1.0)
     singular = (mags == 0).any(axis=0)

@@ -79,6 +79,14 @@ def _json_float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def _json_complex(value, name: str) -> complex:
+    """A complex field's value: a bool or a non-number (text and None
+    included) raises ConfigError instead of being parsed."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        return complex(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 class RootFindingError(RuntimeError):
     """The characteristic roots at this z are unavailable: the polynomial
     degree collapses (d1 = 0 and z = a_0), or the eigensolver failed."""
@@ -102,7 +110,7 @@ class Symbol:
             raise ConfigError("d1 and d2 must be nonnegative")
         if self.d1 + self.d2 < 1:
             raise ConfigError("symbol must have at least one nonzero band")
-        coeffs = tuple(complex(c) for c in self.coeffs)
+        coeffs = tuple(_json_complex(c, "coefficient") for c in self.coeffs)
         if len(coeffs) != self.d1 + self.d2 + 1:
             raise ConfigError(
                 f"expected {self.d1 + self.d2 + 1} coefficients "

@@ -77,11 +77,14 @@ def interleaved_band(
     ``(ab, kl, ku)``.
 
     Delta is zero but for ``vals`` added at (``rows``, ``cols``), such as
-    ``noise.corner_entries`` gives.  A band matrix with corner
-    entries wraps around; the interleave order makes it an ordinary band,
-    with kl and ku read off the permuted nonzero pattern (both at most
-    2 max(d1, d2) for corner entries).  No N x N array is built, and a
-    reordering of rows and columns together leaves the determinant as it is.
+    ``noise.corner_entries`` gives.  ``vals`` may also be a (D, m) stack of
+    D perturbations on the same entries; ``ab`` then holds D x len(zs)
+    matrices, draw-major (matrix t * len(zs) + j is draw t at z_j).  A band
+    matrix with corner entries wraps around; the interleave order makes it
+    an ordinary band, with kl and ku read off the permuted nonzero pattern
+    (both at most 2 max(d1, d2) for corner entries).  No N x N array is
+    built, and a reordering of rows and columns together leaves the
+    determinant as it is.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
@@ -89,8 +92,9 @@ def interleaved_band(
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     vals = np.asarray(vals, dtype=np.complex128)
-    if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
-        raise ValueError("rows, cols and vals must be 1-d of equal length")
+    stack = vals[None] if vals.ndim == 1 else vals
+    if not rows.shape == cols.shape == stack.shape[1:] or rows.ndim != 1:
+        raise ValueError("rows and cols must be 1-d, as long as vals' last axis")
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise ValueError(f"perturbation indices must lie in [0, {n})")
     # Each band diagonal's (row, col) positions after the reordering.
@@ -102,11 +106,11 @@ def interleaved_band(
     pr, pc = _interleave_pos(rows, n), _interleave_pos(cols, n)
     gaps = np.concatenate([q - p for _, p, q in diags] + [pc - pr])
     kl, ku = int(-gaps.min()), int(gaps.max())
-    ab = np.zeros((zs.size, n, kl + ku + 1), dtype=np.complex128)
+    ab = np.zeros((len(stack), zs.size, n, kl + ku + 1), dtype=np.complex128)
     for k, p, q in diags:
-        ab[:, p, kl + q - p] = s.coeff(k) - (zs[:, None] if k == 0 else 0.0)
-    np.add.at(ab, (slice(None), pr, kl + pc - pr), vals)
-    return ab, kl, ku
+        ab[:, :, p, kl + q - p] = s.coeff(k) - (zs[:, None] if k == 0 else 0.0)
+    np.add.at(ab, (slice(None), slice(None), pr, kl + pc - pr), stack[:, None, :])
+    return ab.reshape(-1, n, kl + ku + 1), kl, ku
 
 
 def bidiagonal_factor_check(s: Symbol, z: complex, n: int) -> float:

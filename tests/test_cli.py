@@ -493,6 +493,15 @@ def test_rejection_names_the_field(tmp_path, capsys, case):
     assert ERROR_TEXT[case] in capsys.readouterr().err
 
 
+def test_expand_past_double_range_exits_2(tmp_path, capsys):
+    # |det T_700(3)| = 3^700 for lam + lam^2 exceeds the largest double.
+    out = tmp_path / "out"
+    argv = ["expand", *quad_flags("--z", "3", "--sizes", "700", "--draws", "1"), "--out", str(out)]
+    assert main(argv) == 2
+    assert "N = 700 leaves double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Per run subcommand: its argv after --config, its base z_grid (logpot needs
 # points, regions a rect) and the config fields it reads.
 POINTS = {"points": [[3.0, 0.0], [1.0, 0.0]]}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import toepspec
-from toepspec import expansion, harness, symbol
+from toepspec import expansion, harness, noise, symbol
 from toepspec._rng import DOMAIN_CORNER, DOMAIN_LOGPOT, seed_sequence
 from conftest import random_complex
 from toepspec import (
@@ -472,9 +472,9 @@ def test_run_logpot_rejects_boundary_z(quad):
         run_logpot(tiny_config(quad, z_grid=ZGrid(rect=(0, 1, 0, 1), resolution=3)))
 
 
-def test_run_logpot_corner_noise_is_one_band_call_per_cell(quad, monkeypatch):
-    # Each (N, trial) cell factors its whole z list in one batched band call
-    # and builds no dense matrix; the values are the dense LU's.
+def test_run_logpot_corner_noise_is_one_band_call_per_size(quad, monkeypatch):
+    # Each size factors every (trial, z) in one batched band call and builds
+    # no dense matrix; the values are the dense LU's.
     cfg = tiny_config(
         quad, sizes=(6, 15), trials=2, noise=NoiseModel("corner_delta", gamma_star=3.0),
         z_grid=ZGrid(points=(3.0 + 0j, 1.0 + 0j, -0.1 + 0j)),
@@ -484,7 +484,7 @@ def test_run_logpot_corner_noise_is_one_band_call_per_cell(quad, monkeypatch):
     spy(monkeypatch, dense, "build_z", harness)
     art = run_logpot(cfg)
     monkeypatch.undo()
-    assert sorted(ab.shape[:2] for ab in bands) == [(3, 6), (3, 6), (3, 15), (3, 15)]
+    assert [ab.shape[:2] for ab in bands] == [(6, 6), (6, 15)]
     assert dense == []
     root = seed_sequence(cfg.seed)
     for rec in art.records:
@@ -493,6 +493,20 @@ def test_run_logpot_corner_noise_is_one_band_call_per_cell(quad, monkeypatch):
         want = np.linalg.slogdet(harness.build_z(quad, z, n) + pert)[1] / n
         assert not rec["singular"]
         assert rec["log_pot"] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("points", [(3.0 + 0j, 1.0 + 0j, -0.1 + 0j), (-0.1 + 0j,)])
+def test_run_logpot_corner_trial_does_not_depend_on_the_batch(quad, points):
+    # A trial's records are the same bytes whether its size's band call
+    # holds one trial or four, and for one z as well as three.
+    corner = NoiseModel("corner_delta", gamma_star=3.0)
+    arts = [
+        run_logpot(tiny_config(quad, sizes=(7, 40), trials=trials, noise=corner,
+                               z_grid=ZGrid(points=points)))
+        for trials in (1, 4)
+    ]
+    first = [[harness._dumps(r) for r in art.records if r["trial"] == 0] for art in arts]
+    assert len(first[0]) == 2 * len(points) and first[0] == first[1]
 
 
 def test_run_logpot_entrywise_noise_stays_dense(quad, monkeypatch):
@@ -584,6 +598,9 @@ FORM_ERRORS = {
     ),
     "expand-gamma-star-text": lambda q: run_expansion(q, 3.0, [6], 2, "4", 0),
     "symbol-coeff-count": lambda q: Symbol((0, 1), 2, 0),
+    "symbol-coeff-text": lambda q: Symbol(("0.5", 1), 1, 0),
+    "symbol-coeff-none": lambda q: Symbol((None, 1), 1, 0),
+    "symbol-coeff-bool": lambda q: Symbol((True, 1), 1, 0),
     "symbol-json-d1-fraction": lambda q: Symbol.from_json(
         {"d1": 2.5, "d2": 0, "coeffs": [[0, 0], [1, 0], [1, 0]]}
     ),
@@ -667,6 +684,28 @@ def test_run_expansion_factors_each_minor_once_per_size(quad, monkeypatch):
         monkeypatch.undo()
         seen = [len(m) for m in calls]
         assert sorted(seen) == sorted(n - k for n in (6, 10) for k in (0, 1, 1, 1, 1, 2)), draws
+
+
+def test_run_expansion_first_draw_does_not_depend_on_the_batch(quad):
+    # Draw 0's record is the same bytes whether its size's det calls hold
+    # one draw or seven.
+    arts = [run_expansion(quad, -0.1, [6, 11], draws, 3.0, 4) for draws in (1, 7)]
+    first = [[harness._dumps(r) for r in art.records if r["draw"] == 0] for art in arts]
+    assert len(first[0]) == 2 and first[0] == first[1]
+
+
+def test_run_expansion_builds_no_dense_perturbation(quad, monkeypatch):
+    calls = []
+    spy(monkeypatch, calls, "corner_delta", noise, harness)
+    run_expansion(quad, 1.0, [6, 10], 3, 3.0, 5)
+    assert calls == []
+
+
+def test_run_expansion_past_double_range_is_a_config_error():
+    # |det T_700(3)| = 3^700 for lam + lam^2 exceeds the largest double.
+    s = Symbol((0, 1, 1), 2, 0)
+    with pytest.raises(ConfigError, match="N = 700 leaves double range"):
+        run_expansion(s, 3, [700], 1, 3.0, 0)
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,17 @@ def test_band_logdet_matches_slogdet(rng, kl, ku):
             assert abs(ld.phase - sign) <= tol, (n, kl, ku)
 
 
+def test_band_logdet_does_not_depend_on_the_batch(rng):
+    # Each matrix gets the same LogDet, to the bit, alone or in any batch;
+    # n = 300 is past the length where a pairwise sum would round otherwise.
+    n, kl, ku = 300, 4, 4
+    ab = np.stack([band_storage(random_band(rng, n, kl, ku), kl, ku) for _ in range(5)])
+    batch = band_logdet(ab, kl, ku)
+    for b in range(5):
+        assert band_logdet(ab[b : b + 1], kl, ku) == [batch[b]]
+        assert band_logdet(ab[b:][::-1], kl, ku)[-1] == batch[b]
+
+
 def test_band_logdet_ignores_slots_off_the_matrix(rng):
     m = random_band(rng, 6, 2, 1)
     ab = band_storage(m, 2, 1)

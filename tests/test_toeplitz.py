@@ -296,6 +296,18 @@ def test_interleaved_band_is_the_permuted_matrix(d1, d2, transpose):
             np.testing.assert_array_equal(band_to_dense(band, kl), want)
 
 
+def test_interleaved_band_stacks_draws_on_one_support(quad):
+    # A (D, m) stack of values on shared entries gives each draw's bands,
+    # draw-major, with the widths of one draw.
+    zs = [3.0, 1.0, -0.1]
+    draws = [corner_entries(quad, 12, 3.0, seed=t) for t in range(4)]
+    rows, cols, _ = draws[0]
+    ab, kl, ku = interleaved_band(quad, zs, 12, rows, cols, np.stack([v for *_, v in draws]))
+    one = [interleaved_band(quad, zs, 12, *entries) for entries in draws]
+    assert (kl, ku) == one[0][1:] and ab.shape == (12, 12, kl + ku + 1)
+    np.testing.assert_array_equal(ab, np.concatenate([band for band, _, _ in one]))
+
+
 def test_interleaved_band_of_quad_is_four_by_four(quad):
     # The wrap-around (2, 0) band becomes an ordinary (4, 4) band.
     entries = corner_entries(quad, 500, 3.0, seed=1)
