@@ -60,37 +60,27 @@ def scatter_svg(groups, title: str) -> str:
     return "\n".join(out)
 
 
-def region_svg(xs, ys, labels, boundary, d1: int, d: int, title: str) -> str:
-    """Raster of region labels over a rectangular z grid.
-
-    Non-boundary cells are greyscale by d0 = d1 - label (darker = fewer
-    outside roots); boundary cells are red.  Rows are run-length merged.
+def region_svg(runs, shape, d: int, title: str) -> str:
+    """Raster of region codes over a rectangular z grid of ``shape`` (rows,
+    cols), one rect per run of equal codes along a row: ``runs`` holds the
+    (row, start, stop, code) lists of ``harness._row_runs``.  Codes 0..d are
+    the orders -d2..d1, greyscale by d0 = d - code (darker = fewer outside
+    roots); code d + 1 is boundary, red.  Row r shows the r-th im value,
+    drawn from the bottom since the y axis points up.
     """
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    labels = np.asarray(labels, int)
-    boundary = np.asarray(boundary, bool)
-    ny, nx = labels.shape
+    ny, nx = shape
     cw = (_W - 2 * _PAD) / nx
     ch = (_H - 2 * _PAD) / ny
     out = _header(title)
-    # one grey level per cell, d0 = d1 - label scaled to 0..255; -1 is red
-    level = np.rint(255 * ((d1 - labels) / d))
-    level = np.where(boundary, -1, level.astype(int))
-    fills = {
-        v: "#cc2222" if v < 0 else f"#{v:02x}{v:02x}{v:02x}"
-        for v in np.unique(level).tolist()
-    }
-    for r in range(ny):
-        # y axis points up: row r shows ys[r], drawn from the bottom
-        ypix = _H - _PAD - (r + 1) * ch
-        row = level[r]
-        edges = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), nx]
-        for c0, c1 in zip(edges[:-1], edges[1:]):
-            out.append(
-                f'<rect x="{_fmt(_PAD + c0 * cw)}" y="{_fmt(ypix)}" '
-                f'width="{_fmt((c1 - c0) * cw)}" height="{_fmt(ch)}" '
-                f'fill="{fills[int(row[c0])]}"/>'
-            )
+    rows, starts, stops, codes = runs
+    fills = {c: "#" + f"{round(255 * ((d - c) / d)):02x}" * 3 for c in set(codes)}
+    fills[d + 1] = "#cc2222"
+    ypix = [_fmt(_H - _PAD - (r + 1) * ch) for r in range(ny)]
+    height = _fmt(ch)
+    for r, c0, c1, c in zip(rows, starts, stops, codes):
+        out.append(
+            f'<rect x="{_fmt(_PAD + c0 * cw)}" y="{ypix[r]}" '
+            f'width="{_fmt((c1 - c0) * cw)}" height="{height}" fill="{fills[c]}"/>'
+        )
     out.append("</svg>")
     return "\n".join(out)

@@ -185,14 +185,16 @@ def _region_scale(s: Symbol, z: complex) -> tuple[int, int, float]:
     return prof.dd, prof.d0, _log_potential(s, prof)
 
 
-def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> list:
-    """The k = 0..d minor tables of T_N(z), what draws on one support share;
-    the k = 0 table holds det T_N(z) alone, so P_0 takes the route of every
-    P_k.  The terms are plain complex floats, so a det T_N(z) or minor past
-    double range is a ConfigError."""
+def _corner_tables(s: Symbol, z: complex, n: int, rows, cols) -> tuple:
+    """What draws on the support at (``rows``, ``cols``) share: its distinct
+    rows and cols, and the k = 0..d minor tables of T_N(z) on them.  The
+    k = 0 table holds det T_N(z) alone, so P_0 takes the route of every P_k.
+    The terms are plain complex floats, so a det T_N(z) or minor past double
+    range is a ConfigError."""
+    rs, cs = _support(rows, cols)
     tz = build_z(s, z, n)
     try:
-        return [_minor_table(tz, rows, cols, k) for k in range(s.d + 1)]
+        return rs, cs, [_minor_table(tz, rs, cs, k) for k in range(s.d + 1)]
     except OverflowError as exc:
         raise ConfigError(
             f"det T_N(z) at N = {n} leaves double range; the expansion terms "
@@ -221,14 +223,14 @@ def _report(scale, n: int, p_values) -> DominanceReport:
     )
 
 
-def _corner_reports(s: Symbol, z: complex, scale, n: int, rows, cols, vals) -> list:
+def _corner_reports(corner, scale, n: int, rows, cols, vals) -> list:
     """One ``DominanceReport`` per draw at size ``n``: row t of the (D, m)
-    ``vals`` holds draw t's corner entries at (``rows``, ``cols``).  The
-    T_N(z) minors are factored once for all draws, each draw's entries go
-    into a (rows x cols) corner block, and each k makes one det call over
-    all draws and pairs; no N x N perturbation is built."""
-    rs, cs = _support(rows, cols)
-    tables = _corner_tables(s, z, n, rs, cs)
+    ``vals`` holds draw t's corner entries at (``rows``, ``cols``), and
+    ``corner`` is the ``_corner_tables`` of that support, factored once for
+    all draws.  Each draw's entries go into a (rows x cols) corner block, and
+    each k makes one det call over all draws and pairs; no N x N
+    perturbation is built."""
+    rs, cs, tables = corner
     blocks = np.zeros((len(vals), len(rs), len(cs)), dtype=complex)
     blocks[:, np.searchsorted(rs, rows), np.searchsorted(cs, cols)] = vals
     sums = [_table_sums(table, blocks) for table in tables]
@@ -243,7 +245,8 @@ def dominance_report(s: Symbol, z: complex, delta) -> DominanceReport:
     if delta.shape[0] != delta.shape[1]:
         raise ValueError("perturbation must be square")
     rows, cols = np.nonzero(delta)
-    return _corner_reports(s, z, scale, delta.shape[0], rows, cols, delta[rows, cols][None])[0]
+    corner = _corner_tables(s, z, delta.shape[0], rows, cols)
+    return _corner_reports(corner, scale, delta.shape[0], rows, cols, delta[rows, cols][None])[0]
 
 
 # ---------------------------------------------------------------------------

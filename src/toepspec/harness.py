@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -39,11 +40,11 @@ from ._rng import (
     DOMAIN_REPLACE,
     seed_sequence,
 )
-from .expansion import _corner_reports, _region_scale
+from .expansion import _corner_reports, _corner_tables, _region_scale
 from .linalg import (
     band_logdet, eigenvalues, hs_norm, lu_logdet, singular_values, stieltjes_from_singvals,
 )
-from .noise import NoiseModel, _check_corner, corner_delta, corner_entries, sample
+from .noise import NoiseModel, _check_corner, _corner_draws, corner_delta, corner_support, sample
 from .symbol import (
     BOUNDARY, ConfigError, Symbol, _json_complex, _json_float, _json_int, classify_region,
     limit_logpot, region_labels, sample_mu_a,
@@ -411,14 +412,6 @@ def perturbation(s: Symbol, model: NoiseModel, gamma: float, n: int, seed) -> np
     return float(n) ** (-gamma) * sample(model, n, seed)
 
 
-def _corner_draws(s: Symbol, n: int, gamma_star: float, seeds):
-    """One ``corner_entries`` draw per seed, as the (rows, cols) they share
-    and a (draws, m) stack of their values."""
-    entries = [corner_entries(s, n, gamma_star, seed) for seed in seeds]
-    rows, cols, _ = entries[0]
-    return rows, cols, np.stack([vals for _, _, vals in entries])
-
-
 def _esd_inputs(config: ExperimentConfig) -> dict:
     """run_esd's inputs echo."""
     names = ("symbol", "sizes", "gamma", "noise", "trials", "mu_samples", "seed")
@@ -498,6 +491,18 @@ def _region_inputs(s: Symbol, rect, resolution: int) -> dict:
     return {"symbol": s.to_json(), **grid.to_json()}
 
 
+def _row_runs(codes: np.ndarray) -> tuple:
+    """The runs of equal values along each row of the 2-D grid ``codes``,
+    found over the whole grid at once: (row, start, stop, code) lists in
+    row-major order, with run i covering ``codes[row[i], start[i]:stop[i]]``."""
+    ny, nx = codes.shape
+    breaks = np.ones((ny, nx + 1), bool)
+    breaks[:, 1:-1] = codes[:, 1:] != codes[:, :-1]
+    rows, cols = np.divmod(np.flatnonzero(breaks), nx + 1)
+    rows, starts = rows[cols < nx], cols[cols < nx]
+    return [a.tolist() for a in (rows, starts, cols[cols > 0], codes[rows, starts])]
+
+
 def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     """Region-order labels on a rectangular z grid; CSV rows (re, im, label)
     plus an SVG raster.  Boundary/unresolved nodes are labeled 'boundary'."""
@@ -508,28 +513,33 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     ys = np.linspace(im_lo, im_hi, resolution)
     zs = (xs[None, :] + 1j * ys[:, None]).ravel()
     dd, bmask = region_labels(s, zs)
-    dd = dd.reshape(resolution, resolution)
-    bmask = bmask.reshape(resolution, resolution)
     # Node codes: order + d2 for orders -d2..d1, d + 1 for boundary.
     names = [str(k) for k in range(-s.d2, s.d1 + 1)] + ["boundary"]
     codes = np.where(bmask, s.d + 1, dd + s.d2)
-    counts = np.bincount(codes.ravel(), minlength=len(names)).tolist()
+    counts = np.bincount(codes, minlength=len(names)).tolist()
     summary = [
         {"label": k, "nodes": v, "fraction": v / (resolution * resolution)}
         for k, v in zip(names, counts)
         if v
     ]
+    runs = _row_runs(codes.reshape(resolution, resolution))
     # csv.writer would quote none of these fields, so the rows are joined by
-    # hand: each x column's "re," and each label's "im,label" ending once.
-    re_text = [repr(float(x)) + "," for x in xs]
+    # hand.  Each label's text puts that label on every node, with "#" for
+    # im; a run is a slice of its label's text, and a row joins its runs'
+    # slices and puts repr(im) in for "#".
+    re_text = [repr(float(x)) + ",#," for x in xs]
+    nodes = [[t + k + "\r\n" for t in re_text] for k in names]
+    texts = ["".join(row) for row in nodes]
+    ends = [list(itertools.accumulate(map(len, row), initial=0)) for row in nodes]
+    cuts = zip(*runs[1:])
     lines = ["re,im,label\r\n"]
-    for y, row in zip(ys, codes.tolist()):
-        ends = [f"{float(y)!r},{k}\r\n" for k in names]
-        lines.append("".join(map(str.__add__, re_text, map(ends.__getitem__, row))))
+    for y, count in zip(ys, np.bincount(runs[0]).tolist()):
+        row = [texts[k][ends[k][a] : ends[k][b]] for a, b, k in itertools.islice(cuts, count)]
+        lines.append("".join(row).replace("#", repr(float(y))))
     art = RunArtifact("regions", inputs, [], summary)
     art.tables["grid"] = "".join(lines)
     art.svgs["map"] = _svg.region_svg(
-        xs, ys, dd, bmask, s.d1, s.d, f"region orders d1={s.d1} d2={s.d2}"
+        runs, (resolution, resolution), s.d, f"region orders d1={s.d1} d2={s.d2}"
     )
     return art
 
@@ -718,12 +728,13 @@ def run_replacement(
     return art
 
 
-def _expansion_inputs(
+def _expansion_plan(
     s: Symbol, z: complex, sizes, draws: int, gamma_star: float, seed: int
-) -> dict:
-    """run_expansion's inputs echo, after checking the form of each argument,
-    the sizes and draws, that z lies off the region boundary and that the
-    corners fit every size."""
+) -> tuple[dict, dict]:
+    """run_expansion's inputs echo and, per size, the ``_corner_tables`` its
+    draws share, after checking the form of each argument, the sizes and
+    draws, that z lies off the region boundary, that the corners fit every
+    size and that every size's terms stay in double range."""
     sizes = [_json_int(n, "sizes entry") for n in sizes]
     draws = _json_int(draws, "draws")
     gamma_star = _json_float(gamma_star, "gamma_star")
@@ -734,9 +745,20 @@ def _expansion_inputs(
         raise ConfigError("draws must be >= 1")
     _check_corner(s, min(sizes), gamma_star)
     z = _off_boundary(s, z)
-    return dict(
+    corners = {
+        n: _corner_tables(s, z, n, *zip(*corner_support(n, s.d1, s.d2)))
+        for n in dict.fromkeys(sizes)
+    }
+    inputs = dict(
         symbol=s.to_json(), z=_cpair(z), sizes=sizes, draws=draws, gamma_star=gamma_star, seed=seed
     )
+    return inputs, corners
+
+
+def _expansion_inputs(*args) -> dict:
+    """``_expansion_plan``'s inputs echo alone.  T_N(z) is factored at every
+    size, so the dry run rejects a size whose terms leave double range."""
+    return _expansion_plan(*args)[0]
 
 
 def run_expansion(
@@ -744,14 +766,14 @@ def run_expansion(
 ) -> RunArtifact:
     """Corner-expansion dominance reports of det(T_N(z) + Delta) over sizes,
     one random corner perturbation Delta (decay N^{-gamma_star}) per draw."""
-    inputs = _expansion_inputs(s, z, sizes, draws, gamma_star, seed)
+    inputs, corners = _expansion_plan(s, z, sizes, draws, gamma_star, seed)
     z, sizes = complex(*inputs["z"]), inputs["sizes"]
     scale = _region_scale(s, z)
     records = []
     for n in sizes:
         seeds = [seed_sequence(seed, DOMAIN_CORNER, n, t) for t in range(draws)]
         entries = _corner_draws(s, n, gamma_star, seeds)
-        for t, rep in enumerate(_corner_reports(s, z, scale, n, *entries)):
+        for t, rep in enumerate(_corner_reports(corners[n], scale, n, *entries)):
             records.append(
                 {
                     "n": n,

@@ -148,17 +148,25 @@ def _check_corner(s: Symbol, n: int, gamma_star: float) -> None:
         raise ValueError(f"matrix size {n} too small for corner widths ({s.d1}, {s.d2})")
 
 
+def _corner_draws(s: Symbol, n: int, gamma_star: float, seeds):
+    """The corner perturbations at size ``n``, one per seed: the sorted
+    ``corner_support`` as the (rows, cols) they share, and a (draws, m)
+    stack of N^{-gamma_star} * Uniform[1/2, 1] values on it.  The support
+    and the preconditions (``_check_corner``) are settled once per call."""
+    _check_corner(s, n, gamma_star)
+    support = np.array(corner_support(n, s.d1, s.d2), dtype=np.intp).reshape(-1, 2)
+    scale = float(n) ** (-gamma_star)
+    vals = [scale * generator(seed).uniform(0.5, 1.0, size=len(support)) for seed in seeds]
+    return support[:, 0], support[:, 1], np.stack(vals)
+
+
 def corner_entries(
     s: Symbol, n: int, gamma_star: float, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random corner perturbation as (rows, cols, values): the sorted
-    ``corner_support`` and N^{-gamma_star} * Uniform[1/2, 1] draws on it
-    (preconditions: ``_check_corner``)."""
-    _check_corner(s, n, gamma_star)
-    support = np.array(corner_support(n, s.d1, s.d2), dtype=np.intp).reshape(-1, 2)
-    rg = generator(seed)
-    vals = float(n) ** (-gamma_star) * rg.uniform(0.5, 1.0, size=len(support))
-    return support[:, 0], support[:, 1], vals
+    """One random corner perturbation as (rows, cols, values): the
+    ``_corner_draws`` of the one seed."""
+    rows, cols, vals = _corner_draws(s, n, gamma_star, [seed])
+    return rows, cols, vals[0]
 
 
 def corner_delta(s: Symbol, n: int, gamma_star: float, seed) -> np.ndarray:

@@ -419,6 +419,10 @@ BAD_INPUTS = {
         "replace", *config_flag(p), "--z", "1", "--noise-b", json.dumps(CORNER_NOISE)
     ],
     "expand-size-fraction": lambda p: ["expand", *quad_flags("--z", "3", "--sizes", "10.9")],
+    # |det T_700(3)| = 3^700 for lam + lam^2 exceeds the largest double.
+    "expand-size-past-double-range": lambda p: [
+        "expand", *quad_flags("--z", "3", "--sizes", "700", "--draws", "1")
+    ],
     "config-not-object": lambda p: ["spectrum", "--config", list_file(p), "--seed", "3"],
     "spectrum-no-sizes": lambda p: ["spectrum", *config_flag(p, drop=["sizes"])],
     "logpot-no-sizes": lambda p: ["logpot", *config_flag(p, drop=["sizes"])],

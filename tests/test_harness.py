@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import toepspec
-from toepspec import expansion, harness, noise, symbol
+from toepspec import _svg, expansion, harness, noise, symbol
 from toepspec._rng import DOMAIN_CORNER, DOMAIN_LOGPOT, seed_sequence
 from conftest import random_complex
 from toepspec import (
@@ -355,19 +355,19 @@ def test_run_region_map_counts(quad):
 ELLIPSE = Symbol((1.0, 0.0, 0.5), 1, 1)  # lam^{-1} + lam/2: order -1 inside
 
 
-@pytest.mark.parametrize(
-    "s, rect, resolution, labels",
-    [
-        (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0), 9, ["0", "1", "2", "boundary"]),
-        # Nodes at +-1.5 on the real axis sit on the curve; no node has order 1.
-        (ELLIPSE, (-1.5, 1.5, -1.0, 1.0), 9, ["-1", "0", "boundary"]),
-        # QUAD away from its order-2 loop: "2" has no node and no row.
-        (Symbol((0.0, 1.0, 1.0), 2, 0), (1.0, 3.0, -1.0, 1.0), 5, ["0", "1", "boundary"]),
-        (ELLIPSE, (2.0, 3.0, -1.0, 1.0), 5, ["0"]),
-        # Rows follow the region order, "-2" before "-1", not the label strings.
-        (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), 9, ["-2", "-1", "0", "boundary"]),
-    ],
-)
+REGION_CASES = [
+    (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0), 9, ["0", "1", "2", "boundary"]),
+    # Nodes at +-1.5 on the real axis sit on the curve; no node has order 1.
+    (ELLIPSE, (-1.5, 1.5, -1.0, 1.0), 9, ["-1", "0", "boundary"]),
+    # QUAD away from its order-2 loop: "2" has no node and no row.
+    (Symbol((0.0, 1.0, 1.0), 2, 0), (1.0, 3.0, -1.0, 1.0), 5, ["0", "1", "boundary"]),
+    (ELLIPSE, (2.0, 3.0, -1.0, 1.0), 5, ["0"]),
+    # Rows follow the region order, "-2" before "-1", not the label strings.
+    (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), 9, ["-2", "-1", "0", "boundary"]),
+]
+
+
+@pytest.mark.parametrize("s, rect, resolution, labels", REGION_CASES)
 def test_region_map_csv_bytes_match_csv_writer(s, rect, resolution, labels, tmp_path):
     """The hand-joined grid and the summary are the bytes csv.writer writes
     for (repr(re), repr(im), label) rows built node by node."""
@@ -395,6 +395,85 @@ def test_region_map_csv_bytes_match_csv_writer(s, rect, resolution, labels, tmp_
             w.writerows(body)
         expected = (tmp_path / f"expected_{name}.csv").read_bytes()
         assert (tmp_path / f"regions_{name}.csv").read_bytes() == expected
+
+
+def region_svg_by_rows(labels, boundary, d1, d, title):
+    """The region raster drawn row by row, each row's runs found on their
+    own: the oracle for ``regions_map.svg``."""
+    labels = np.asarray(labels, int)
+    ny, nx = labels.shape
+    cw = (_svg._W - 2 * _svg._PAD) / nx
+    ch = (_svg._H - 2 * _svg._PAD) / ny
+    out = _svg._header(title)
+    level = np.rint(255 * ((d1 - labels) / d))
+    level = np.where(boundary, -1, level.astype(int))
+    fills = {
+        v: "#cc2222" if v < 0 else f"#{v:02x}{v:02x}{v:02x}"
+        for v in np.unique(level).tolist()
+    }
+    for r in range(ny):
+        ypix = _svg._H - _svg._PAD - (r + 1) * ch
+        row = level[r]
+        edges = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), nx]
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            out.append(
+                f'<rect x="{_svg._fmt(_svg._PAD + c0 * cw)}" y="{_svg._fmt(ypix)}" '
+                f'width="{_svg._fmt((c1 - c0) * cw)}" height="{_svg._fmt(ch)}" '
+                f'fill="{fills[int(row[c0])]}"/>'
+            )
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def row_labels(s, zs):
+    """One order per row, cycling through -d2..d1, and a boundary last row:
+    every row is a single run."""
+    res = math.isqrt(len(zs))
+    r = np.arange(len(zs)) // res
+    return r % (s.d + 1) - s.d2, r == res - 1
+
+
+def alternating_labels(s, zs):
+    """Codes (order + d2, d + 1 for boundary) that step by one, cyclically,
+    from each node to the next: every node is a run of its own."""
+    res = math.isqrt(len(zs))
+    i = np.arange(len(zs))
+    code = (i // res + i % res) % (s.d + 2)
+    return code - s.d2, code == s.d + 1
+
+
+QUAD_GRID = (Symbol((0.0, 1.0, 1.0), 2, 0), (-2.5, 3.5, -3.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "s, rect, resolution, labels_of, rects",
+    [(s, rect, res, None, None) for s, rect, res, _ in REGION_CASES]
+    + [
+        (*QUAD_GRID, 2, None, None),
+        (*QUAD_GRID, 7, row_labels, 7),
+        (ELLIPSE, (-1.5, 1.5, -1.0, 1.0), 6, row_labels, 6),
+        (*QUAD_GRID, 7, alternating_labels, 49),
+        (Symbol((1.0, 1.0, 0.2), 0, 2), (-2.3, 3.7, -3.0, 3.0), 5, alternating_labels, 25),
+    ],
+)
+def test_region_map_svg_bytes_match_row_oracle(
+    s, rect, resolution, labels_of, rects, tmp_path, monkeypatch
+):
+    """The SVG drawn from the whole-grid runs is the row-by-row raster,
+    byte for byte; ``rects`` is the run count a made-up label grid gives."""
+    if labels_of is not None:
+        monkeypatch.setattr(harness, "region_labels", labels_of)
+    run_region_map(s, rect, resolution).write(tmp_path)
+    xs = np.linspace(rect[0], rect[1], resolution)
+    ys = np.linspace(rect[2], rect[3], resolution)
+    dd, bmask = harness.region_labels(s, (xs[None, :] + 1j * ys[:, None]).ravel())
+    grid = (resolution, resolution)
+    title = f"region orders d1={s.d1} d2={s.d2}"
+    want = region_svg_by_rows(dd.reshape(grid), bmask.reshape(grid), s.d1, s.d, title)
+    got = (tmp_path / "regions_map.svg").read_bytes()
+    assert got == (want + "\n").encode()
+    if rects is not None:
+        assert got.count(b'<rect x="') == rects
 
 
 @pytest.mark.parametrize(
@@ -684,6 +763,20 @@ def test_run_expansion_factors_each_minor_once_per_size(quad, monkeypatch):
         monkeypatch.undo()
         seen = [len(m) for m in calls]
         assert sorted(seen) == sorted(n - k for n in (6, 10) for k in (0, 1, 1, 1, 1, 2)), draws
+
+
+def test_run_expansion_settles_the_corner_support_once_per_size(quad, monkeypatch):
+    # The input step builds each size's support for its minor tables and the
+    # draws build it once more, whatever the number of draws; the corner
+    # check runs at the smallest size in the input step, then once per size.
+    for draws in (1, 6):
+        support, checks = [], []
+        spy(monkeypatch, support, "corner_support", noise, harness)
+        spy(monkeypatch, checks, "_check_corner", noise, harness)
+        run_expansion(quad, 1.0, [10, 6], draws, 3.0, 5)
+        monkeypatch.undo()
+        assert support == [10, 6, 10, 6], draws
+        assert len(checks) == 3, draws
 
 
 def test_run_expansion_first_draw_does_not_depend_on_the_batch(quad):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_symbol_and_zs
 import toepspec
-from toepspec import _svg, symbol
+from toepspec import _svg, harness, symbol
 from toepspec import (
     BOUNDARY,
     MuASample,
@@ -407,12 +407,17 @@ def test_eigensolver_failure_reads_boundary_at_that_node_only(quad, monkeypatch)
 
 
 def test_region_svg_runs_by_hand():
-    # 3 rows x 4 columns, d1 = d = 2; cell (1, 1) is boundary with the same
-    # label as its neighbours, so only the red fill separates its run.
-    labels = np.array([[0, 0, 1, 1], [0, 0, 0, 2], [2, 2, 2, 2]])
-    boundary = np.zeros((3, 4), bool)
-    boundary[1, 1] = True
-    markup = _svg.region_svg(range(4), range(3), labels, boundary, 2, 2, "t")
+    # 3 rows x 4 columns, d1 = d = 2, so codes are the orders; cell (1, 1) is
+    # boundary (code d + 1 = 3) between two order-0 cells.
+    codes = np.array([[0, 0, 1, 1], [0, 3, 0, 2], [2, 2, 2, 2]])
+    runs = harness._row_runs(codes)
+    assert runs == [
+        [0, 0, 1, 1, 1, 1, 2],
+        [0, 2, 0, 1, 2, 3, 0],
+        [2, 4, 1, 2, 3, 4, 4],
+        [0, 1, 0, 3, 0, 2, 2],
+    ]
+    markup = _svg.region_svg(runs, codes.shape, 2, "t")
     rects = [line for line in markup.splitlines() if line.startswith("<rect x=")]
     h = 'height="186.67"'
     assert rects == [
