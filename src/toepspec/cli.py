@@ -34,11 +34,9 @@ from .harness import (
     run_logpot,
     run_region_map,
     run_replacement,
-    thread_count,
 )
 from .noise import NoiseModel
 from .symbol import ConfigError, Symbol
-from . import validate as _validate
 
 __all__ = ["main"]
 
@@ -128,19 +126,26 @@ _SUMMARY = {
 }
 
 
+class _Null:
+    """A null summary value: prints as ``None`` under any format spec."""
+
+    def __format__(self, spec):
+        return "None"
+
+
 def _run(args) -> int:
     """Dry-run or run one subcommand.  ``args.cmd`` gives the input step, the
     runner, their shared arguments and the config's output directory; the
     dry run prints the hash and canonical JSON the run writes to its meta."""
-    threads = thread_count()
     inputs_of, runner, run_args, outputs = args.cmd(args)
     if args.dry_run:
         inputs = inputs_of(*run_args)
-        print(f"plan: {args.command} config hash {_hash(inputs)} threads {threads}")
+        print(f"plan: {args.command} config hash {_hash(inputs)}")
         print(_dumps(inputs))
         return 0
     art = runner(*run_args)
     for row in art.summary:
+        row = {k: _Null() if v is None else v for k, v in row.items()}
         print(_SUMMARY[args.command].format(**row))
     outdir = args.out or outputs
     if outdir:
@@ -222,7 +227,9 @@ def _cmd_expand(args):
 
 
 def _cmd_validate(args) -> int:
-    checks = _validate.run_checks()
+    from . import validate
+
+    checks = validate.run_checks()
     failed = 0
     for name, ok, detail in checks:
         tag = "ok  " if ok else "FAIL"

@@ -10,10 +10,8 @@ reads; the CLI's dry run calls the same step.  Artifacts serialize to
 JSONL/CSV (and optional static SVG) with canonical, byte-stable formatting:
 the same inputs give identical files.
 
-``spectrum`` trials and entrywise-noise ``logpot`` cells run on a thread
-pool sized by the TOEPSPEC_THREADS environment variable (default: CPU
-count); results are reduced in fixed cell order, so the thread count never
-changes the output.
+Runners compute their cells one after another in the calling thread; the
+only parallelism is the BLAS threads inside each LAPACK call.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,7 +53,6 @@ __all__ = [
     "RunArtifact",
     "energy_distance",
     "ks_distance",
-    "thread_count",
     "perturbation",
     "run_esd",
     "run_expansion",
@@ -65,8 +60,6 @@ __all__ = [
     "run_logpot",
     "run_replacement",
 ]
-
-THREADS_ENV = "TOEPSPEC_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +313,20 @@ def _dict_rows_text(rows: list[dict]) -> str:
     return _csv_text(header, [tuple(_csv_cell(row[k]) for k in header) for row in rows])
 
 
-# ---------------------------------------------------------------------------
-# Thread pool
-
-
 def thread_count() -> int:
-    v = os.environ.get(THREADS_ENV)
-    if not v:
-        return os.cpu_count() or 1
-    if not (v.strip().isdecimal() and int(v) >= 1):
-        raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {v!r}")
-    return int(v)
-
-
-def _run_cells(cells, fn):
-    """Map fn over cells on a pool of thread_count() threads; order preserved."""
-    with ThreadPoolExecutor(thread_count()) as ex:
-        return list(ex.map(fn, cells))
+    """Always 1: runners use only the calling thread.  Kept solely for the
+    benchmark's env stamp, which reads it; ROADMAP item 1 removes that read,
+    and this function goes with it."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 
 
-# The |x - y| means sum in blocks of this many rows, which keeps each
-# (rows, m) complex temporary near cache size; only rounding depends on it.
+# The |x - y| means sum in blocks of this many rows, which bounds each
+# (rows, m) complex temporary at 64 * 16 * m bytes (10 MB for the 10^4-point
+# mu_a sample); only rounding depends on it.
 _PAIR_BLOCK = 64
 
 
@@ -426,37 +408,35 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
     root = seed_sequence(config.seed)
     mu = sample_mu_a(s, config.mu_samples, seed_sequence(root, DOMAIN_MU))
     qq = _mean_pairwise_abs(mu.points)
-    cells = [(n, t) for n in config.sizes for t in range(config.trials)]
-
-    def work(cell):
-        n, t = cell
-        pert = perturbation(
-            s, config.noise, config.gamma, n, seed_sequence(root, DOMAIN_NOISE, n, t)
-        )
-        res = eigenvalues(build(s, n) + pert)
-        eig = res.eigenvalues
-        dist = (
-            2.0 * _mean_cross_abs(eig, mu.points) - _mean_pairwise_abs(eig) - qq
-        )
-        return {
-            "n": n,
-            "trial": t,
-            "energy_distance": dist,
-            "converged": res.converged,
-            "eigenvalues": [_cpair(v) for v in eig],
-        }
-
-    records = _run_cells(cells, work)
+    records = []
     summary = []
     for n in config.sizes:
-        dists = [r["energy_distance"] for r in records if r["n"] == n]
-        conv = [r["converged"] for r in records if r["n"] == n]
+        dists = []
+        for t in range(config.trials):
+            pert = perturbation(
+                s, config.noise, config.gamma, n, seed_sequence(root, DOMAIN_NOISE, n, t)
+            )
+            res = eigenvalues(build(s, n) + pert)
+            eig = res.eigenvalues
+            dist = None
+            if res.converged:
+                dist = 2.0 * _mean_cross_abs(eig, mu.points) - _mean_pairwise_abs(eig) - qq
+                dists.append(dist)
+            records.append(
+                {
+                    "n": n,
+                    "trial": t,
+                    "energy_distance": dist,
+                    "converged": res.converged,
+                    "eigenvalues": [_cpair(v) for v in eig],
+                }
+            )
         summary.append(
             {
                 "n": n,
-                "median_energy_distance": float(np.median(dists)),
-                "mean_energy_distance": float(np.mean(dists)),
-                "converged_fraction": float(np.mean(conv)),
+                "median_energy_distance": float(np.median(dists)) if dists else None,
+                "mean_energy_distance": float(np.mean(dists)) if dists else None,
+                "converged_fraction": len(dists) / config.trials,
             }
         )
     art = RunArtifact("esd", inputs, records, summary)
@@ -566,8 +546,8 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     around, and every trial at one size shares its corner support and so its
     band widths: each size makes one ``band_logdet`` call over every
     (trial, z), on the interleaved bands of the stacked corner entries.
-    Entrywise noise is dense; its (size, trial) cells run on the thread pool
-    and take one ``lu_logdet`` per z."""
+    Entrywise noise is dense: each (size, trial) cell draws one perturbation
+    and takes one ``lu_logdet`` per z."""
     s = config.symbol
     inputs = _logpot_inputs(config, z_list)
     z_list = [complex(re, im) for re, im in inputs["z_grid"]["points"]]
@@ -575,20 +555,16 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     root = seed_sequence(config.seed)
     cells = [(n, t) for n in config.sizes for t in range(config.trials)]
     model = config.noise
+    lds = []
     if model.kind == "corner_delta":
-        lds = []
         for n in config.sizes:
             seeds = [seed_sequence(root, DOMAIN_LOGPOT, n, t) for t in range(config.trials)]
             entries = _corner_draws(s, n, model.gamma_star, seeds)
             lds += band_logdet(*interleaved_band(s, z_list, n, *entries))
     else:
-
-        def work(cell):
-            n, t = cell
+        for n, t in cells:
             pert = perturbation(s, model, config.gamma, n, seed_sequence(root, DOMAIN_LOGPOT, n, t))
-            return [lu_logdet(build_z(s, z, n) + pert) for z in z_list]
-
-        lds = [ld for group in _run_cells(cells, work) for ld in group]
+            lds += [lu_logdet(build_z(s, z, n) + pert) for z in z_list]
     keys = [(n, t, z) for n, t in cells for z in z_list]
     records = [
         {

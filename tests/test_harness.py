@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -32,7 +36,6 @@ from toepspec import (
     run_region_map,
     run_replacement,
     sample,
-    thread_count,
 )
 
 
@@ -188,17 +191,6 @@ def test_config_hash_ignores_outputs(quad):
     assert "outputs" not in harness._esd_inputs(cfg)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("TOEPSPEC_THREADS", "3")
-    assert thread_count() == 3
-    for bad in ("zero", "0", "-3"):
-        monkeypatch.setenv("TOEPSPEC_THREADS", bad)
-        with pytest.raises(ConfigError):
-            thread_count()
-    monkeypatch.delenv("TOEPSPEC_THREADS")
-    assert thread_count() >= 1
-
-
 # ---------------------------------------------------------------------------
 # Two-sample statistics
 
@@ -311,33 +303,101 @@ def test_run_esd_structure_and_determinism(quad):
     assert json.dumps(art.records) == json.dumps(again.records)
 
 
-def test_run_esd_records_independent_of_pool_size(quad, monkeypatch, tmp_path):
-    # At N=200 LAPACK takes its blocked code paths, and with two pool threads
-    # two eigensolves run inside OpenBLAS at once.
-    cfg = tiny_config(quad, sizes=(200,), trials=4)
-    out = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("TOEPSPEC_THREADS", threads)
-        run_esd(cfg).write(tmp_path / threads, svg=False)
-        out[threads] = (tmp_path / threads / "esd.jsonl").read_bytes()
-    assert out["1"] == out["2"]
+def test_runners_start_no_thread(quad, monkeypatch, tmp_path):
+    # Spectrum cells and entrywise logpot cells run in the calling thread.
+    runs = {
+        "esd": lambda: run_esd(tiny_config(quad, sizes=(8, 40), trials=3)),
+        "logpot": lambda: run_logpot(tiny_config(quad, sizes=(8, 40), trials=3)),
+    }
+    for name, run in runs.items():
+        run().write(tmp_path / "free" / name, svg=False)
+
+    def refuse(self):
+        raise RuntimeError("no thread may start")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for name, run in runs.items():
+        run().write(tmp_path / "patched" / name, svg=False)
+        for path in sorted((tmp_path / "free" / name).iterdir()):
+            assert (tmp_path / "patched" / name / path.name).read_bytes() == path.read_bytes()
+
+
+# Peak RSS of run_esd at the benchmark's esd config (N = 100/200/400, one
+# trial, 10^4 mu_a samples) over the peak after imports, in a fresh process.
+# It reads VmHWM, the peak of the process's own address space: ru_maxrss
+# keeps the RSS the process had before exec, which here is pytest's.
+_ESD_RSS_SCRIPT = """
+import toepspec as tp
+def peak_mb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+cfg = tp.ExperimentConfig(
+    symbol=tp.Symbol((0.0, 1.0, 1.0), 2, 0), sizes=(100, 200, 400), gamma=0.75,
+    noise=tp.NoiseModel("gaussian_complex"), trials=1, mu_samples=10000, seed=21,
+)
+base = peak_mb()
+tp.run_esd(cfg)
+print(peak_mb() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_run_esd_peak_memory():
+    # Measured 25 MB in the calling thread; a two-thread pool took 56 MB.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _ESD_RSS_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert float(out.stdout) <= 40.0
 
 
 def test_run_esd_reports_nonconvergence(quad, monkeypatch, tmp_path):
+    cfg = tiny_config(quad, trials=3)
+    good = run_esd(cfg)
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def fail_second(a):
+        calls.append(a.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced non-convergence")
+        return eigvals(a)
+
+    # One failed matrix: its cell leaves the median and the mean of its size.
+    monkeypatch.setattr(np.linalg, "eigvals", fail_second)
+    art = run_esd(cfg)
+    bad = art.records[1]
+    assert (bad["n"], bad["trial"], bad["converged"], bad["energy_distance"]) == (8, 1, False, None)
+    assert art.records[:1] + art.records[2:] == good.records[:1] + good.records[2:]
+    kept = [good.records[0]["energy_distance"], good.records[2]["energy_distance"]]
+    assert art.summary == [
+        {
+            "n": 8,
+            "median_energy_distance": float(np.median(kept)),
+            "mean_energy_distance": float(np.mean(kept)),
+            "converged_fraction": 2 / 3,
+        },
+        good.summary[1],
+    ]
+
+    # Every matrix failed: each size has null medians and means.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("forced non-convergence")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    art = run_esd(tiny_config(quad))
-    art.write(tmp_path)
+    run_esd(tiny_config(quad)).write(tmp_path)
     with open(tmp_path / "esd.jsonl") as f:
         records = [json.loads(line) for line in f]
     assert records and not any(rec["converged"] for rec in records)
     for rec in records:
         assert len(rec["eigenvalues"]) == rec["n"]
-    rows = check_csv(tmp_path / "esd_summary.csv", expect_rows=2)
-    frac = rows[0].index("converged_fraction")
-    assert all(float(row[frac]) < 1.0 for row in rows[1:])
+        assert rec["energy_distance"] is None
+    header, *rows = check_csv(tmp_path / "esd_summary.csv", expect_rows=2)
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["median_energy_distance"] == cells["mean_energy_distance"] == ""
+        assert float(cells["converged_fraction"]) == 0.0
 
 
 def test_run_region_map_counts(quad):
