@@ -4,7 +4,8 @@ Library + CLI for studying how vanishing random perturbations regularize the
 spectrum of finitely banded Toeplitz matrices toward the symbol's curve
 measure: root-geometry classification of the complex plane, determinant
 identities and corner expansions, noise ensembles, and reproducible
-experiment runners with validation oracles throughout.
+experiment runners.  The test suite checks every kernel against an
+independent route.
 
 A public name is declared once, in its layer module's ``__all__``; the
 package exports the union of those lists.

@@ -2,20 +2,21 @@
 
 Subcommands: spectrum (perturbed-spectrum experiment), regions (region-order
 map), logpot (log-determinant vs. limit), replace (two-ensemble comparison),
-expand (corner expansion dominance), validate (built-in oracle suite).
+expand (corner expansion dominance).
 
-Every run subcommand goes through ``_run``: its ``_cmd_*`` turns the flags
+Every subcommand goes through ``_run``: its ``_cmd_*`` turns the flags
 into the runner's arguments, the runner's input step checks them and gives
 the inputs echo the artifact hashes, and ``--dry-run`` prints that echo
 without computing.
 
-Exit codes: 0 success, 1 assertion-suite failure, 2 configuration error
-(bad flags, malformed JSON, missing files).
+Exit codes: 0 success, 1 a ``replace`` run whose bounds check failed, 2
+configuration error (bad flags, malformed JSON, missing files).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,7 +156,7 @@ def _run(args) -> int:
 
 
 def _common_run_flags(p: argparse.ArgumentParser, cmd) -> None:
-    p.set_defaults(func=_run, cmd=cmd)
+    p.set_defaults(cmd=cmd)
     p.add_argument("--seed", type=int, default=None, help="random seed (overrides the config seed)")
     p.add_argument(
         "--set",
@@ -226,21 +227,9 @@ def _cmd_expand(args):
     return _expansion_inputs, run_expansion, run_args, None
 
 
-def _cmd_validate(args) -> int:
-    from . import validate
-
-    checks = validate.run_checks()
-    failed = 0
-    for name, ok, detail in checks:
-        tag = "ok  " if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{tag} - {name}{suffix}")
-        if not ok:
-            failed += 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
-
-
+# One parser per process: parse_args gives each call a fresh namespace, and
+# the repeatable flags start from None, so no call sees another's flags.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="toepspec",
@@ -279,9 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-star", type=float, default=None, help="default: d + 1")
     _common_run_flags(p, _cmd_expand)
 
-    p = sub.add_parser("validate", help="run the built-in oracle suite")
-    p.set_defaults(func=_cmd_validate)
-
     return ap
 
 
@@ -292,9 +278,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "set", None) and not getattr(args, "config", None):
+        if args.set and not getattr(args, "config", None):
             raise ConfigError("--set overrides a config field and needs --config")
-        return args.func(args)
+        return _run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,6 @@
 """Command-line surface: exit codes, file outputs, overrides."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -44,6 +41,7 @@ def dry_run_plan(capsys):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+    assert main(["validate"]) == 2
 
 
 def test_spectrum_dry_run(tmp_path, capsys):
@@ -73,15 +71,6 @@ def test_spectrum_summary_prints_null_medians(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, sizes=[8], trials=1, mu_samples=100)
     assert main(["spectrum", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == "n=8 median_energy_distance=None converged=0\n"
-
-
-def test_import_leaves_validate_unloaded():
-    code = "import sys, toepspec.cli; print('toepspec.validate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "False\n"
 
 
 def test_spectrum_hash_ignores_out(tmp_path, capsys):
@@ -155,11 +144,18 @@ def test_logpot_dry_run_validates_like_the_run(tmp_path, capsys, overrides, z):
 
 
 def test_logpot_dry_run_counts_z_values(tmp_path, capsys):
+    # main parses with one cached parser, so the last call checks that the
+    # appended --z and --set lists start empty on every call.
     cfg = write_config(tmp_path)
-    assert main(["logpot", "--config", str(cfg), "--dry-run"]) == 0
+    argv = ["logpot", "--config", str(cfg), "--dry-run"]
+    assert main(argv) == 0
     assert len(dry_run_plan(capsys)[1]["z_grid"]["points"]) == 2
-    assert main(["logpot", "--config", str(cfg), "--z", "3", "--dry-run"]) == 0
-    assert len(dry_run_plan(capsys)[1]["z_grid"]["points"]) == 1
+    assert main(argv + ["--z", "3", "--set", "seed=8"]) == 0
+    echo = dry_run_plan(capsys)[1]
+    assert (echo["z_grid"]["points"], echo["seed"]) == ([[3.0, 0.0]], 8)
+    assert main(argv) == 0
+    echo = dry_run_plan(capsys)[1]
+    assert (echo["z_grid"]["points"], echo["seed"]) == ([[3.0, 0.0], [1.0, 0.0]], 7)
 
 
 def test_replace_runs(tmp_path):
@@ -242,20 +238,6 @@ def test_expand_rejects_empty_work(tmp_path, capsys, flags, dry_run):
     assert main(argv + flags + ["--out", str(out), *dry_run]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_validate_subcommand(monkeypatch, capsys):
-    monkeypatch.setattr(
-        "toepspec.validate.run_checks", lambda: [("alpha", True, "ok")]
-    )
-    assert main(["validate"]) == 0
-    assert "alpha" in capsys.readouterr().out
-    monkeypatch.setattr(
-        "toepspec.validate.run_checks",
-        lambda: [("alpha", True, "ok"), ("beta", False, "broken")],
-    )
-    assert main(["validate"]) == 1
-    assert "beta" in capsys.readouterr().out
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -228,20 +228,22 @@ def test_anti_conc_single_variable_exact_law():
 
 
 def test_anti_conc_rows_sorted_and_bounded():
-    table = anti_conc_experiment(
-        k=2,
-        n=4,
-        coeffs={(0, 1): 1.0, (2, 3): 0.5 - 0.5j},
-        eps_grid=[0.1, 0.001, 0.01],
-        trials=20000,
-        seed=2,
-    )
-    eps = [row.epsilon for row in table.rows]
-    assert eps == sorted(eps)
-    assert table.c_star == 1.0
-    for row in table.rows:
-        assert row.frequency <= row.bound
-        assert 0.0 <= row.wilson_low <= row.frequency <= row.wilson_high <= 1.0
+    # The second case, Q = U0 U1 - U2 U3, has density at 0, so its small-eps
+    # rows have hits down to eps = 1e-5 (7 of 100000 draws).
+    cases = [
+        ({(0, 1): 1.0, (2, 3): 0.5 - 0.5j}, [0.1, 0.001, 0.01], 20000, 2),
+        ({(0, 1): 1.0, (2, 3): -1.0}, [1e-2, 1e-5, 1e-1, 1e-4, 1e-3], 100000, 20240817),
+    ]
+    for coeffs, eps_grid, trials, seed in cases:
+        table = anti_conc_experiment(
+            k=2, n=4, coeffs=coeffs, eps_grid=eps_grid, trials=trials, seed=seed
+        )
+        eps = [row.epsilon for row in table.rows]
+        assert eps == sorted(eps_grid)
+        assert table.c_star == 1.0
+        for row in table.rows:
+            assert row.frequency <= row.bound
+            assert 0.0 <= row.wilson_low <= row.frequency <= row.wilson_high <= 1.0
 
 
 def test_anti_conc_validation():

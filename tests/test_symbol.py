@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symbol_and_zs
+from conftest import random_complex, random_symbol_and_zs
 import toepspec
 from toepspec import _svg, harness, symbol
 from toepspec import (
@@ -160,7 +160,7 @@ def test_root_profile_roots_satisfy_vieta_and_residual(d1, d2, seed):
         assert np.all(residual <= 2**12 * eps * np.polyval(np.abs(c[::-1]), np.abs(lam))), z
 
 
-def test_root_profile_exact_zero_roots():
+def test_root_profile_exact_zero_roots(rng):
     # lam^3 at z = 0: the triple root 0 is an ordinary eigenvalue, inside
     # the unit circle, so d0 = 0.
     cube = Symbol((0.0, 0.0, 0.0, 1.0), 3, 0)
@@ -168,6 +168,13 @@ def test_root_profile_exact_zero_roots():
     assert max(abs(r) for r in prof.roots) < 1.0
     assert (prof.d0, prof.dd) == (0, cube.d1)
     assert not prof.boundary
+    # Simple roots from known factors: with d2 = 0, a(lam) = prod (lam - r)
+    # is its own characteristic polynomial at z = 0.
+    for _ in range(5):
+        want = random_complex(rng, 1, 5)[0]
+        s = Symbol(tuple(np.poly(want)[::-1]), 5, 0)
+        got = -np.array(root_profile(s, 0.0).roots)
+        assert np.abs(np.sort_complex(got) - np.sort_complex(want)).max() < 1e-8
 
 
 def test_root_profile_frozen_quad(quad):

@@ -156,6 +156,8 @@ def test_moment_rhs_closed_forms(quad, tri):
     assert moment_rhs(quad, 0.0, 2) == pytest.approx(6.0, rel=1e-12)
     assert moment_rhs(tri, 0.0, 1) == pytest.approx(2.0, rel=1e-12)
     assert moment_rhs(tri, 0.0, 2) == pytest.approx(6.0, rel=1e-12)
+    # k = 1 off the origin: |z - a_0|^2 + sum_{k != 0} |a_k|^2 = 2 + 2.
+    assert moment_rhs(quad, 1 + 1j, 1) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_moment_gap_shrinks_with_n(quad):
