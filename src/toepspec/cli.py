@@ -4,10 +4,14 @@ Subcommands: spectrum (perturbed-spectrum experiment), regions (region-order
 map), logpot (log-determinant vs. limit), replace (two-ensemble comparison),
 expand (corner expansion dominance).
 
-Every subcommand goes through ``_run``: its ``_cmd_*`` turns the flags
-into the runner's arguments, the runner's input step checks them and gives
-the inputs echo the artifact hashes, and ``--dry-run`` prints that echo
-without computing.
+Each run parameter has one home: spectrum, regions, logpot and replace read
+``--config`` after its ``--set`` overrides, with flags only for what no
+config field holds; expand has no config and takes flags alone.
+
+Every subcommand goes through ``_run``: its ``_cmd_*`` turns the config and
+flags into the runner's arguments, the runner's input step checks them and
+gives the inputs echo the artifact hashes, and ``--dry-run`` prints that
+echo without computing.
 
 Exit codes: 0 success, 1 a ``replace`` run whose bounds check failed, 2
 configuration error (bad flags, malformed JSON, missing files).
@@ -54,16 +58,6 @@ def _parse_complex(text: str) -> complex:
     raise ConfigError(f"cannot parse complex value {text!r} (want 're' or 're,im')")
 
 
-def _parse_rect(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("rect must be 're_lo,re_hi,im_lo,im_hi'")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise ConfigError(f"bad rect: {exc}") from exc
-
-
 def _load_json_arg(text: str) -> dict:
     """JSON object given inline or as a path to a JSON file."""
     stripped = text.strip()
@@ -103,13 +97,11 @@ def _apply_overrides(data: dict, sets: list[str]) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The ``--config`` JSON after ``--set`` and ``--seed``."""
+    """The ``--config`` JSON after the ``--set`` overrides."""
     data = _load_json_arg(args.config)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _apply_overrides(data, args.set or [])
-    if args.seed is not None:
-        data["seed"] = args.seed
     return ExperimentConfig.from_json(data)
 
 
@@ -155,15 +147,21 @@ def _run(args) -> int:
     return 0 if all(row.get("bounds_ok", True) for row in art.summary) else 1
 
 
-def _common_run_flags(p: argparse.ArgumentParser, cmd) -> None:
+def _subcommand(sub, name: str, cmd, help: str, config: bool = True):
+    """Add subcommand ``name`` run by ``cmd``, with the flags every run
+    subcommand takes, and ``--config``/``--set`` unless it has no config.
+    A flag must be spelled in full, so a prefix is never read as some other
+    flag."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(cmd=cmd)
-    p.add_argument("--seed", type=int, default=None, help="random seed (overrides the config seed)")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="PATH=VALUE",
-        help="dotted-path config override (repeatable), e.g. noise.kind=rademacher",
-    )
+    if config:
+        p.add_argument("--config", required=True, help="experiment config JSON (path or inline)")
+        p.add_argument(
+            "--set",
+            action="append",
+            metavar="PATH=VALUE",
+            help="dotted-path config override (repeatable), e.g. noise.kind=rademacher",
+        )
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     svg = p.add_mutually_exclusive_group()
@@ -174,6 +172,7 @@ def _common_run_flags(p: argparse.ArgumentParser, cmd) -> None:
         action="store_true",
         help="check the inputs and print the config hash and inputs echo without computing",
     )
+    return p
 
 
 def _cmd_spectrum(args):
@@ -182,40 +181,27 @@ def _cmd_spectrum(args):
 
 
 def _cmd_regions(args):
-    if args.seed is not None:
-        raise ConfigError("regions draws no random numbers; --seed does not apply")
-    grid_flags = (args.symbol, args.rect, args.resolution)
-    if args.config:
-        if any(v is not None for v in grid_flags):
-            raise ConfigError("regions takes --config or --symbol/--rect/--resolution, not both")
-        config = _load_config(args)
-        grid = config.z_grid
-        if grid is None or grid.rect is None:
-            raise ConfigError("regions needs a rect z_grid in the config")
-        run_args, outputs = (config.symbol, grid.rect, grid.resolution), config.outputs
-    else:
-        if any(v is None for v in grid_flags):
-            raise ConfigError("regions needs --config or --symbol/--rect/--resolution")
-        s = Symbol.from_json(_load_json_arg(args.symbol))
-        run_args, outputs = (s, _parse_rect(args.rect), args.resolution), None
-    return _region_inputs, run_region_map, run_args, outputs
+    config = _load_config(args)
+    grid = config.z_grid
+    if grid is None or grid.rect is None:
+        raise ConfigError("regions needs a rect z_grid in the config")
+    run_args = (config.symbol, grid.rect, grid.resolution)
+    return _region_inputs, run_region_map, run_args, config.outputs
 
 
 def _cmd_logpot(args):
     config = _load_config(args)
-    zs = [_parse_complex(t) for t in args.z] if args.z else None
-    return _logpot_inputs, run_logpot, (config, zs), config.outputs
+    return _logpot_inputs, run_logpot, (config,), config.outputs
 
 
 def _cmd_replace(args):
     config = _load_config(args)
-    if args.n is None and config.sizes is None:
-        raise ConfigError("replace needs --n or the config field sizes")
-    n = args.n if args.n is not None else config.sizes[-1]
+    if config.sizes is None:
+        raise ConfigError("replace needs config field(s) ['sizes']")
     model_b = (
         NoiseModel.from_json(_load_json_arg(args.noise_b)) if args.noise_b else config.noise
     )
-    run_args = (config, _parse_complex(args.z), n, model_b)
+    run_args = (config, _parse_complex(args.z), config.sizes[-1], model_b)
     return _replacement_inputs, run_replacement, run_args, config.outputs
 
 
@@ -223,7 +209,7 @@ def _cmd_expand(args):
     s = Symbol.from_json(_load_json_arg(args.symbol))
     gamma_star = args.gamma_star if args.gamma_star is not None else s.d + 1.0
     sizes = [float(t) for t in args.sizes.split(",")]
-    run_args = (s, _parse_complex(args.z), sizes, args.draws, gamma_star, args.seed or 0)
+    run_args = (s, _parse_complex(args.z), sizes, args.draws, gamma_star, args.seed)
     return _expansion_inputs, run_expansion, run_args, None
 
 
@@ -237,36 +223,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="perturbed-spectrum experiment (ESD)")
-    p.add_argument("--config", required=True, help="experiment config JSON (path or inline)")
-    _common_run_flags(p, _cmd_spectrum)
+    _subcommand(sub, "spectrum", _cmd_spectrum, "perturbed-spectrum experiment (ESD)")
+    _subcommand(sub, "regions", _cmd_regions, "region-order map over a z rectangle")
+    _subcommand(sub, "logpot", _cmd_logpot, "log-determinant vs limiting log-potential")
 
-    p = sub.add_parser("regions", help="region-order map over a z rectangle")
-    p.add_argument("--config", default=None)
-    p.add_argument("--symbol", default=None, help="symbol JSON (path or inline)")
-    p.add_argument("--rect", default=None, help="re_lo,re_hi,im_lo,im_hi")
-    p.add_argument("--resolution", type=int, default=None)
-    _common_run_flags(p, _cmd_regions)
-
-    p = sub.add_parser("logpot", help="log-determinant vs limiting log-potential")
-    p.add_argument("--config", required=True)
-    p.add_argument("--z", action="append", default=None, help="z value 're,im' (repeatable)")
-    _common_run_flags(p, _cmd_logpot)
-
-    p = sub.add_parser("replace", help="two-ensemble singular-value comparison")
-    p.add_argument("--config", required=True)
+    p = _subcommand(sub, "replace", _cmd_replace, "two-ensemble singular-value comparison")
     p.add_argument("--z", required=True, help="z value 're,im'")
-    p.add_argument("--n", type=int, default=None, help="matrix size (default: largest config size)")
     p.add_argument("--noise-b", default=None, help="second noise model JSON (default: config noise)")
-    _common_run_flags(p, _cmd_replace)
 
-    p = sub.add_parser("expand", help="corner-expansion dominance report")
+    p = _subcommand(sub, "expand", _cmd_expand, "corner-expansion dominance report", config=False)
     p.add_argument("--symbol", required=True, help="symbol JSON (path or inline)")
     p.add_argument("--z", required=True, help="z value 're,im'")
     p.add_argument("--sizes", default="10,20,40")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--gamma-star", type=float, default=None, help="default: d + 1")
-    _common_run_flags(p, _cmd_expand)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     return ap
 
@@ -278,8 +249,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.set and not getattr(args, "config", None):
-            raise ConfigError("--set overrides a config field and needs --config")
         return _run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

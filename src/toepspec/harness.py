@@ -524,23 +524,22 @@ def run_region_map(s: Symbol, rect, resolution: int) -> RunArtifact:
     return art
 
 
-def _logpot_inputs(config: ExperimentConfig, z_list=None) -> dict:
-    """run_logpot's inputs echo: the config fields it reads, and ``z_grid``
-    set to the z values it evaluates (``z_list``, else the config's point
-    list), each checked to lie off the region boundary."""
-    names = ("symbol", "sizes", "gamma", "noise", "trials", "seed")
+def _logpot_inputs(config: ExperimentConfig) -> dict:
+    """run_logpot's inputs echo: the config fields it reads, after checking
+    that z_grid is a point list off the region boundary."""
+    names = ("symbol", "sizes", "gamma", "noise", "trials", "seed", "z_grid")
     inputs = _config_inputs(config, "logpot", names)
-    if z_list is None:
-        if config.z_grid is None or config.z_grid.points is None:
-            raise ConfigError("logpot needs a z list or a points z_grid")
-        z_list = config.z_grid.points
-    points = tuple(_off_boundary(config.symbol, z) for z in z_list)
-    return {**inputs, "z_grid": ZGrid(points=points).to_json()}
+    if config.z_grid.points is None:
+        raise ConfigError("logpot needs a points z_grid")
+    for z in config.z_grid.points:
+        _off_boundary(config.symbol, z)
+    return inputs
 
 
-def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
+def run_logpot(config: ExperimentConfig) -> RunArtifact:
     """Normalized log-determinants (1/N) log|det(T_N(z) + perturbation)|
-    against the limiting log-potential, per (z, N, trial).
+    against the limiting log-potential, per (z, N, trial) over the config's
+    z_grid points.
 
     A corner perturbation keeps T_N(z) + Delta a band matrix that wraps
     around, and every trial at one size shares its corner support and so its
@@ -549,9 +548,9 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
     Entrywise noise is dense: each (size, trial) cell draws one perturbation
     and takes one ``lu_logdet`` per z."""
     s = config.symbol
-    inputs = _logpot_inputs(config, z_list)
-    z_list = [complex(re, im) for re, im in inputs["z_grid"]["points"]]
-    limits = {z: limit_logpot(s, z) for z in z_list}
+    inputs = _logpot_inputs(config)
+    zs = config.z_grid.points
+    limits = {z: limit_logpot(s, z) for z in zs}
     root = seed_sequence(config.seed)
     cells = [(n, t) for n in config.sizes for t in range(config.trials)]
     model = config.noise
@@ -560,12 +559,12 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
         for n in config.sizes:
             seeds = [seed_sequence(root, DOMAIN_LOGPOT, n, t) for t in range(config.trials)]
             entries = _corner_draws(s, n, model.gamma_star, seeds)
-            lds += band_logdet(*interleaved_band(s, z_list, n, *entries))
+            lds += band_logdet(*interleaved_band(s, zs, n, *entries))
     else:
         for n, t in cells:
             pert = perturbation(s, model, config.gamma, n, seed_sequence(root, DOMAIN_LOGPOT, n, t))
-            lds += [lu_logdet(build_z(s, z, n) + pert) for z in z_list]
-    keys = [(n, t, z) for n, t in cells for z in z_list]
+            lds += [lu_logdet(build_z(s, z, n) + pert) for z in zs]
+    keys = [(n, t, z) for n, t in cells for z in zs]
     records = [
         {
             "z": _cpair(z),
@@ -578,7 +577,7 @@ def run_logpot(config: ExperimentConfig, z_list=None) -> RunArtifact:
         for (n, t, z), ld in zip(keys, lds)
     ]
     summary = []
-    for z in z_list:
+    for z in zs:
         zp = _cpair(z)
         for n in config.sizes:
             vals = [
@@ -608,6 +607,7 @@ def _replacement_inputs(
     ``n`` and the second ensemble, after checking ``n`` against both
     ensembles."""
     inputs = _config_inputs(config, "replace", ("symbol", "gamma", "noise", "trials", "seed"))
+    z = _json_complex(z, "z")
     n = _json_int(n, "n")
     if n < 1:
         raise ConfigError("n must be >= 1")

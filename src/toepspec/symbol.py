@@ -18,6 +18,7 @@ symbol's curve measure mu_a evaluates in closed form from the same roots.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,18 +73,21 @@ def _json_int(value, name: str) -> int:
 
 
 def _json_float(value, name: str) -> float:
-    """A JSON number field's value as a float: a bool or a non-number raises
-    ConfigError instead of being read as 1.0 or parsed from text."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+    """A JSON real field's value as a float, checked as ``_json_complex``
+    checks a complex one."""
+    if isinstance(value, numbers.Real):
+        return _json_complex(value, name).real
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _json_complex(value, name: str) -> complex:
     """A complex field's value: a bool or a non-number (text and None
-    included) raises ConfigError instead of being parsed."""
+    included) raises ConfigError instead of being read as 1 or parsed, and
+    so does an infinity or NaN, which no canonical JSON echo can hold."""
     if isinstance(value, numbers.Number) and not isinstance(value, bool):
-        return complex(value)
+        if cmath.isfinite(z := complex(value)):
+            return z
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
@@ -106,6 +110,8 @@ class Symbol:
     d2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d1", _json_int(self.d1, "d1"))
+        object.__setattr__(self, "d2", _json_int(self.d2, "d2"))
         if self.d1 < 0 or self.d2 < 0:
             raise ConfigError("d1 and d2 must be nonnegative")
         if self.d1 + self.d2 < 1:
@@ -120,8 +126,6 @@ class Symbol:
             raise ConfigError("leading coefficient a_d1 must be nonzero")
         if self.d2 > 0 and coeffs[0] == 0:
             raise ConfigError("trailing coefficient a_-d2 must be nonzero")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
-            raise ConfigError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -176,8 +180,7 @@ class Symbol:
         if extra:
             raise ConfigError(f"unknown symbol fields: {sorted(extra)}")
         try:
-            d1 = _json_int(data["d1"], "d1")
-            d2 = _json_int(data["d2"], "d2")
+            d1, d2 = data["d1"], data["d2"]
             coeffs = tuple(
                 complex(_json_float(re, "coeff"), _json_float(im, "coeff"))
                 for re, im in data["coeffs"]

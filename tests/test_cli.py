@@ -1,13 +1,17 @@
 """Command-line surface: exit codes, file outputs, overrides."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toepspec import NoiseModel, RunArtifact, ZGrid
+from toepspec import NoiseModel, RunArtifact, Symbol, ZGrid
+from toepspec import cli
 from toepspec.cli import main
-from toepspec.harness import ExperimentConfig
+from toepspec.harness import ExperimentConfig, _hash, _region_inputs
 
 QUAD_JSON = {"coeffs": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], "d1": 2, "d2": 0}
 
@@ -38,10 +42,38 @@ def dry_run_plan(capsys):
     return plan.split("config hash ")[1].split()[0], json.loads(echo)
 
 
-def test_no_arguments_is_usage_error(capsys):
+REGION_GRID = {"rect": [-1, 1, -1, 1], "resolution": 3}
+
+
+def region_config(grid=REGION_GRID, symbol=QUAD_JSON):
+    """An inline config holding only what the region map reads."""
+    return json.dumps({"symbol": symbol, "z_grid": grid})
+
+
+def z_points(*points):
+    """The --set override that makes ``points`` logpot's z list."""
+    return ["--set", "z_grid=" + json.dumps({"points": list(points)})]
+
+
+def test_no_arguments_is_usage_error(tmp_path, capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["validate"]) == 2
+    # Flags that duplicated a config field are gone: each argv below runs
+    # without its last flag and is a usage error with it.
+    cfg = str(write_config(tmp_path, z_grid=REGION_GRID))
+    removed = [
+        (["regions", "--config", cfg], ["--symbol", json.dumps(QUAD_JSON)]),
+        (["logpot", "--config", cfg, *z_points([3, 0])], ["--z", "3"]),
+        (["replace", "--config", cfg, "--z", "1"], ["--n", "16"]),
+        (["spectrum", "--config", cfg], ["--seed", "3"]),
+        (["expand", *quad_flags("--z", "3", "--sizes", "6", "--draws", "1")], ["--set", "seed=1"]),
+    ]
+    for argv, flag in removed:
+        assert main(argv + ["--dry-run"]) == 0
+        capsys.readouterr()
+        assert main(argv + flag + ["--dry-run"]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_spectrum_dry_run(tmp_path, capsys):
@@ -91,20 +123,11 @@ def test_spectrum_set_override_changes_plan(tmp_path, capsys):
     assert base != bumped
 
 
-def test_regions_from_flags(tmp_path):
+def test_regions_from_inline_config(tmp_path):
     out = tmp_path / "maps"
+    grid = {"rect": [-2.5, 3.5, -3, 3], "resolution": 9}
     rc = main(
-        [
-            "regions",
-            "--symbol",
-            json.dumps(QUAD_JSON),
-            "--rect=-2.5,3.5,-3,3",
-            "--resolution",
-            "9",
-            "--out",
-            str(out),
-            "--no-svg",
-        ]
+        ["regions", "--config", region_config(grid), "--out", str(out), "--no-svg"]
     )
     assert rc == 0
     names = {p.name for p in out.iterdir()}
@@ -116,7 +139,7 @@ def test_logpot_with_z_overrides(tmp_path):
     cfg = write_config(tmp_path, sizes=[10, 20], trials=2)
     out = tmp_path / "lp"
     rc = main(
-        ["logpot", "--config", str(cfg), "--z", "3,0", "--z=-0.1,0", "--out", str(out)]
+        ["logpot", "--config", str(cfg), *z_points([3, 0], [-0.1, 0]), "--out", str(out)]
     )
     assert rc == 0
     assert (out / "logpot_summary.csv").exists()
@@ -124,14 +147,14 @@ def test_logpot_with_z_overrides(tmp_path):
 
 def test_logpot_boundary_z_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    rc = main(["logpot", "--config", str(cfg), "--z", "2,0"])
+    rc = main(["logpot", "--config", str(cfg), *z_points([2, 0])])
     assert rc == 2
     assert "boundary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "overrides, z",
-    [({"z_grid": {"rect": [-1, 1, -1, 1], "resolution": 3}}, []), ({}, ["--z", "2"])],
+    [({"z_grid": {"rect": [-1, 1, -1, 1], "resolution": 3}}, []), ({}, z_points([2, 0]))],
     ids=["rect-grid-without-z", "z-on-curve"],
 )
 def test_logpot_dry_run_validates_like_the_run(tmp_path, capsys, overrides, z):
@@ -145,12 +168,12 @@ def test_logpot_dry_run_validates_like_the_run(tmp_path, capsys, overrides, z):
 
 def test_logpot_dry_run_counts_z_values(tmp_path, capsys):
     # main parses with one cached parser, so the last call checks that the
-    # appended --z and --set lists start empty on every call.
+    # appended --set list starts empty on every call.
     cfg = write_config(tmp_path)
     argv = ["logpot", "--config", str(cfg), "--dry-run"]
     assert main(argv) == 0
     assert len(dry_run_plan(capsys)[1]["z_grid"]["points"]) == 2
-    assert main(argv + ["--z", "3", "--set", "seed=8"]) == 0
+    assert main(argv + [*z_points([3, 0]), "--set", "seed=8"]) == 0
     echo = dry_run_plan(capsys)[1]
     assert (echo["z_grid"]["points"], echo["seed"]) == ([[3.0, 0.0]], 8)
     assert main(argv) == 0
@@ -159,7 +182,7 @@ def test_logpot_dry_run_counts_z_values(tmp_path, capsys):
 
 
 def test_replace_runs(tmp_path):
-    cfg = write_config(tmp_path, sizes=[16])
+    cfg = write_config(tmp_path)
     out = tmp_path / "rep"
     rc = main(
         [
@@ -168,8 +191,8 @@ def test_replace_runs(tmp_path):
             str(cfg),
             "--z",
             "1,0",
-            "--n",
-            "16",
+            "--set",
+            "sizes=[16]",
             "--noise-b",
             json.dumps({"kind": "rademacher"}),
             "--out",
@@ -219,12 +242,12 @@ def test_expand_writes_summary(tmp_path):
 @pytest.mark.parametrize("n", ["0", "-4"])
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
 def test_replace_rejects_nonpositive_n(tmp_path, capsys, n, dry_run):
-    # --n 0 used to fall back to the largest config size.
+    # replace's N is the last entry of sizes, which must be positive.
     cfg = write_config(tmp_path, sizes=[16])
     out = tmp_path / "rep"
-    argv = ["replace", "--config", str(cfg), "--z", "1,0", "--n", n, "--out", str(out)]
-    assert main(argv + dry_run) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    argv = ["replace", "--config", str(cfg), "--z", "1,0", "--set", f"sizes=[{n}]"]
+    assert main(argv + ["--out", str(out), *dry_run]) == 2
+    assert "sizes must be a nonempty list of positive ints" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -266,7 +289,7 @@ def test_set_with_a_non_integer_is_config_error(tmp_path, capsys, override):
 
 
 def run_replace(cfg, out, *extra):
-    argv = ["replace", "--config", str(cfg), "--z", "1,0", "--n", "40", "--out", str(out)]
+    argv = ["replace", "--config", str(cfg), "--z", "1,0", "--set", "sizes=[40]", "--out", str(out)]
     return main(argv + list(extra))
 
 
@@ -316,54 +339,33 @@ def test_replace_and_expand_meta_echo_inputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["regions", "--symbol", json.dumps(QUAD_JSON), "--rect=-1,1,-1,1", "--resolution", "3"],
-        ["expand", "--symbol", json.dumps(QUAD_JSON), "--z", "3,0", "--sizes", "6", "--draws", "1"],
+        (["regions"], "required: --config"),
+        (
+            ["expand", "--symbol", json.dumps(QUAD_JSON), "--z", "3,0", "--sizes", "6", "--draws", "1"],
+            "unrecognized arguments: --set",
+        ),
     ],
     ids=["regions", "expand"],
 )
-def test_set_without_config_is_usage_error(tmp_path, capsys, argv):
+def test_set_without_config_is_usage_error(tmp_path, capsys, argv, message):
+    # --set overrides a config field: regions cannot run without --config,
+    # and expand, which has no config, takes no --set.
     out = tmp_path / "out"
     assert main(argv + ["--set", "x=1", "--out", str(out)]) == 2
-    assert "--set" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_regions_rejects_config_with_grid_flags(tmp_path, capsys):
-    cfg = write_config(tmp_path, z_grid={"rect": [-1, 1, -1, 1], "resolution": 3})
-    out = tmp_path / "out"
-    assert main(["regions", "--config", str(cfg), "--out", str(out)]) == 0
-    for flag in (["--symbol", json.dumps(QUAD_JSON)], ["--rect=-2,2,-2,2"], ["--resolution", "5"]):
-        assert main(["regions", "--config", str(cfg), *flag]) == 2
-        assert "not both" in capsys.readouterr().err
-
-
-def test_regions_rejects_seed(tmp_path, capsys):
-    # The region map draws no random numbers, so a seed would be ignored.
-    cfg = write_config(tmp_path, z_grid={"rect": [-1, 1, -1, 1], "resolution": 3})
-    out = tmp_path / "out"
-    for source in (
-        ["--config", str(cfg)],
-        ["--symbol", json.dumps(QUAD_JSON), "--rect=-1,1,-1,1", "--resolution", "3"],
-    ):
-        assert main(["regions", *source, "--seed", "3", "--out", str(out)]) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
-
-
-REGION_GRID = {"rect": [-1, 1, -1, 1], "resolution": 3}
-REGION_FLAGS = ["--symbol", json.dumps(QUAD_JSON), "--rect=-1,1,-1,1", "--resolution", "3"]
 
 
 def test_regions_config_reads_only_symbol_and_grid(tmp_path, capsys):
     # The map uses symbol, z_grid and outputs; a config that carries only
     # those, or other fields no region map reads, must not fail on them.
-    minimal = json.dumps({"symbol": QUAD_JSON, "z_grid": REGION_GRID})
+    minimal = region_config()
     assert main(["regions", "--config", minimal, "--dry-run"]) == 0
     plan_hash, echo = dry_run_plan(capsys)
-    assert main(["regions", *REGION_FLAGS, "--dry-run"]) == 0
-    assert dry_run_plan(capsys) == (plan_hash, echo)
+    inputs = _region_inputs(Symbol.from_json(QUAD_JSON), REGION_GRID["rect"], 3)
+    assert (plan_hash, echo) == (_hash(inputs), inputs)
     corner = {"kind": "corner_delta", "gamma_star": 3.0}
     cfg = str(write_config(tmp_path, sizes=[1], noise=corner, z_grid=REGION_GRID))
     out = tmp_path / "out"
@@ -376,8 +378,8 @@ def test_regions_config_applies_set_and_rejects_unknown_fields(tmp_path, capsys)
     cfg = str(write_config(tmp_path, z_grid=REGION_GRID))
     assert main(["regions", "--config", cfg, "--set", "z_grid.resolution=4", "--dry-run"]) == 0
     plan_hash, _ = dry_run_plan(capsys)
-    flags = [*REGION_FLAGS[:-1], "4", "--dry-run"]
-    assert main(["regions", *flags]) == 0
+    grid = {**REGION_GRID, "resolution": 4}
+    assert main(["regions", "--config", region_config(grid), "--dry-run"]) == 0
     assert dry_run_plan(capsys)[0] == plan_hash
     assert main(["regions", "--config", cfg, "--set", "colour=red", "--dry-run"]) == 2
     assert "unknown config fields" in capsys.readouterr().err
@@ -407,13 +409,17 @@ def list_file(tmp_path):
 
 # Inputs that the run rejects, by name: argv builders taking tmp_path.
 BAD_INPUTS = {
-    "rect-reversed": lambda p: ["regions", *quad_flags("--rect=1,-1,-1,1", "--resolution", "3")],
-    "resolution-0": lambda p: ["regions", *quad_flags("--rect=-1,1,-1,1", "--resolution", "0")],
-    "resolution-1": lambda p: ["regions", *quad_flags("--rect=-1,1,-1,1", "--resolution", "1")],
+    "rect-reversed": lambda p: [
+        "regions", "--config", region_config({"rect": [1, -1, -1, 1], "resolution": 3})
+    ],
+    "resolution-0": lambda p: ["regions", "--config", region_config({**REGION_GRID, "resolution": 0})],
+    "resolution-1": lambda p: ["regions", "--config", region_config({**REGION_GRID, "resolution": 1})],
     "expand-gamma-star": lambda p: ["expand", *quad_flags("--z", "3", "--gamma-star", "1")],
     "expand-z-on-curve": lambda p: ["expand", *quad_flags("--z", "2")],
     "expand-degree-collapse": lambda p: ["expand", "--symbol", json.dumps(COLLAPSE_JSON), "--z", "0.5"],
-    "logpot-degree-collapse": lambda p: ["logpot", *config_flag(p, symbol=COLLAPSE_JSON), "--z", "0.5"],
+    "logpot-degree-collapse": lambda p: [
+        "logpot", *config_flag(p, symbol=COLLAPSE_JSON), *z_points([0.5, 0])
+    ],
     "expand-size-2": lambda p: ["expand", *quad_flags("--z", "3", "--sizes", "2")],
     "spectrum-corner": lambda p: ["spectrum", *config_flag(p, noise=CORNER_NOISE)],
     "logpot-corner": lambda p: ["logpot", *config_flag(p, noise=CORNER_NOISE)],
@@ -428,7 +434,7 @@ BAD_INPUTS = {
     "expand-size-past-double-range": lambda p: [
         "expand", *quad_flags("--z", "3", "--sizes", "700", "--draws", "1")
     ],
-    "config-not-object": lambda p: ["spectrum", "--config", list_file(p), "--seed", "3"],
+    "config-not-object": lambda p: ["spectrum", "--config", list_file(p), "--set", "seed=3"],
     "spectrum-no-sizes": lambda p: ["spectrum", *config_flag(p, drop=["sizes"])],
     "logpot-no-sizes": lambda p: ["logpot", *config_flag(p, drop=["sizes"])],
     "logpot-no-z-list": lambda p: ["logpot", *config_flag(p, drop=["z_grid"])],
@@ -448,6 +454,20 @@ BAD_INPUTS = {
     "noise-b-unread-gamma-star": lambda p: [
         "replace", *config_flag(p), "--z", "1", "--noise-b", '{"kind": "rademacher", "gamma_star": 3}'
     ],
+    # JSON text may spell Infinity and NaN; no field takes them.
+    "gamma-inf": lambda p: ["spectrum", *config_flag(p, gamma=float("inf"))],
+    "z-nan": lambda p: ["logpot", *config_flag(p), "--set", "z_grid.points=[[NaN, 0]]"],
+    "rect-inf": lambda p: [
+        "regions", "--config", region_config({**REGION_GRID, "rect": [float("-inf"), 1, -1, 1]})
+    ],
+    "symbol-coeff-inf": lambda p: [
+        "spectrum", *config_flag(p, symbol={**QUAD_JSON, "coeffs": [[0, 0], [1, 0], [1, float("inf")]]})
+    ],
+    "noise-b-p-nan": lambda p: [
+        "replace", *config_flag(p), "--z", "1", "--noise-b",
+        '{"kind": "sparse_bernoulli_gaussian", "p": NaN}',
+    ],
+    "replace-z-nan": lambda p: ["replace", *config_flag(p), "--z", "nan"],
 }
 
 # The error of the cases above that leave a field out or give it the wrong
@@ -459,8 +479,8 @@ ERROR_TEXT = {
     "config-not-object": "config must be a JSON object",
     "spectrum-no-sizes": "spectrum needs config field(s) ['sizes']",
     "logpot-no-sizes": "logpot needs config field(s) ['sizes']",
-    "logpot-no-z-list": "logpot needs a z list or a points z_grid",
-    "replace-no-n-no-sizes": "replace needs --n or the config field sizes",
+    "logpot-no-z-list": "logpot needs config field(s) ['z_grid']",
+    "replace-no-n-no-sizes": "replace needs config field(s) ['sizes']",
     "outputs-number": "outputs must be a string, got 5",
     "gamma-bool": "gamma must be a number, got True",
     "noise-p-bool": "noise p must be a number, got True",
@@ -468,14 +488,22 @@ ERROR_TEXT = {
     "set-through-list": "override 'sizes.0=5': 'sizes' is not an object",
     "noise-unread-p": "noise kind gaussian_complex does not read p",
     "noise-b-unread-gamma-star": "noise kind rademacher does not read gamma_star",
+    "gamma-inf": "gamma must be finite, got inf",
+    "z-nan": "z must be finite, got nan",
+    "rect-inf": "rect entry must be finite, got -inf",
+    "symbol-coeff-inf": "coeff must be finite, got inf",
+    "noise-b-p-nan": "noise p must be finite, got nan",
+    "replace-z-nan": "z must be finite, got (nan+0j)",
 }
 
 # One good input per run subcommand, small enough to run in a test.
 GOOD_INPUTS = {
     "spectrum": lambda p: ["spectrum", *config_flag(p, sizes=[8], trials=1, mu_samples=100)],
-    "regions": lambda p: ["regions", *quad_flags("--rect=-2.5,3.5,-3,3", "--resolution", "5")],
+    "regions": lambda p: [
+        "regions", "--config", region_config({"rect": [-2.5, 3.5, -3, 3], "resolution": 5})
+    ],
     "regions-config": lambda p: ["regions", *config_flag(p, z_grid=REGION_GRID)],
-    "logpot": lambda p: ["logpot", *config_flag(p, trials=1), "--z=-0.1"],
+    "logpot": lambda p: ["logpot", *config_flag(p, trials=1), *z_points([-0.1, 0])],
     "replace": lambda p: ["replace", *config_flag(p, sizes=[16], trials=1), "--z", "1"],
     "expand": lambda p: ["expand", *quad_flags("--z", "1", "--sizes", "6", "--draws", "2")],
 }
@@ -517,7 +545,7 @@ POINTS = {"points": [[3.0, 0.0], [1.0, 0.0]]}
 HASH_CASES = {
     "spectrum": ([], POINTS, {"symbol", "sizes", "gamma", "noise", "trials", "mu_samples", "seed"}),
     "logpot": ([], POINTS, {"symbol", "sizes", "gamma", "noise", "trials", "seed", "z_grid"}),
-    "replace": (["--z", "1", "--n", "16"], POINTS, {"symbol", "gamma", "noise", "trials", "seed"}),
+    "replace": (["--z", "1", "--set", "sizes=[16]"], POINTS, {"symbol", "gamma", "noise", "trials", "seed"}),
     "regions": ([], REGION_GRID, {"symbol", "z_grid"}),
 }
 # A second valid value for every config field but z_grid.
@@ -560,6 +588,34 @@ def test_dry_run_prints_the_meta_hash_and_echo(tmp_path, capsys, command):
 
 
 def test_regions_resolution_0_reaches_the_resolution_check(tmp_path, capsys):
-    # 0 used to read as a missing flag ("regions needs --config or ...").
+    # A resolution of 0 must fail the resolution check, not read as missing.
     assert main(BAD_INPUTS["resolution-0"](tmp_path)) == 2
     assert "resolution >= 2" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every ``toepspec`` command in the README's sh blocks, as an argv
+    after the program name: backslash continuations are joined, and a quote
+    that opens on one line closes on a later one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        pending = ""
+        for line in block.replace("\\\n", " ").splitlines():
+            pending += line + "\n"
+            try:
+                argv = shlex.split(pending, comments=True)
+            except ValueError:  # an open quote
+                continue
+            pending = ""
+            if argv[:1] == ["toepspec"]:
+                yield argv[1:]
+
+
+def test_readme_commands_parse(capsys):
+    commands = list(readme_commands())
+    assert {argv[0] for argv in commands} == {"spectrum", "regions", "logpot", "replace", "expand"}
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {argv}\n{capsys.readouterr().err}")

@@ -598,7 +598,7 @@ def test_run_logpot_echoes_the_z_list_it_used(quad):
     assert default.inputs == harness._logpot_inputs(cfg)
     assert default.inputs["z_grid"] == cfg.z_grid.to_json()
     assert default.config_hash == harness._hash(harness._logpot_inputs(cfg))
-    chosen = run_logpot(cfg, [3.0])
+    chosen = run_logpot(tiny_config(quad, sizes=(8,), trials=1, z_grid=ZGrid(points=(3.0,))))
     assert chosen.inputs["z_grid"] == {"points": [[3.0, 0.0]]}
     assert chosen.config_hash != default.config_hash
 
@@ -728,18 +728,29 @@ FORM_ERRORS = {
     "zgrid-resolution-bool": lambda q: ZGrid(rect=(0.0, 1.0, 0.0, 1.0), resolution=True),
     "zgrid-rect-3-entries": lambda q: ZGrid(rect=(0.0, 1.0, 0.0), resolution=3),
     "zgrid-point-text": lambda q: ZGrid(points=("x",)),
-    "logpot-z-text": lambda q: run_logpot(tiny_config(q), ["3"]),
+    "logpot-z-text": lambda q: run_logpot(tiny_config(q, z_grid=ZGrid(points=("3",)))),
     "noise-p-text": lambda q: NoiseModel("sparse_bernoulli_gaussian", p="0.2"),
     "regions-rect-text": lambda q: run_region_map(q, ("a", 1.0, 0.0, 1.0), 3),
     "regions-rect-scalar": lambda q: run_region_map(q, 1.0, 3),
     "replace-n-fraction": lambda q: run_replacement(
         tiny_config(q), 1.0, 2.5, NoiseModel("rademacher")
     ),
+    "replace-z-text": lambda q: run_replacement(tiny_config(q), "1", 16, NoiseModel("rademacher")),
+    "replace-z-bool": lambda q: run_replacement(tiny_config(q), True, 16, NoiseModel("rademacher")),
+    "replace-z-nan": lambda q: run_replacement(
+        tiny_config(q), complex(math.nan, 0), 16, NoiseModel("rademacher")
+    ),
+    "config-gamma-inf": lambda q: ExperimentConfig(q, gamma=math.inf),
+    "zgrid-point-nan": lambda q: ZGrid(points=(complex(0, math.nan),)),
+    "regions-rect-inf": lambda q: run_region_map(q, (-math.inf, 1.0, 0.0, 1.0), 3),
+    "expand-gamma-star-inf": lambda q: run_expansion(q, 3.0, [6], 2, math.inf, 0),
+    "noise-gamma-star-nan": lambda q: NoiseModel("corner_delta", gamma_star=math.nan),
     "expand-gamma-star-text": lambda q: run_expansion(q, 3.0, [6], 2, "4", 0),
     "symbol-coeff-count": lambda q: Symbol((0, 1), 2, 0),
     "symbol-coeff-text": lambda q: Symbol(("0.5", 1), 1, 0),
     "symbol-coeff-none": lambda q: Symbol((None, 1), 1, 0),
     "symbol-coeff-bool": lambda q: Symbol((True, 1), 1, 0),
+    "symbol-coeff-inf": lambda q: Symbol((math.inf, 1), 1, 0),
     "symbol-json-d1-fraction": lambda q: Symbol.from_json(
         {"d1": 2.5, "d2": 0, "coeffs": [[0, 0], [1, 0], [1, 0]]}
     ),

@@ -8,6 +8,7 @@ import cmath
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import toepspec
 from toepspec import _svg, harness, symbol
 from toepspec import (
     BOUNDARY,
+    ConfigError,
     MuASample,
     RootFindingError,
     Symbol,
@@ -29,6 +31,7 @@ from toepspec import (
     root_profile,
     sample_mu_a,
 )
+from toepspec.toeplitz import build
 
 SQRT13 = math.sqrt(13.0)
 SQRT5 = math.sqrt(5.0)
@@ -121,6 +124,26 @@ def test_symbol_json_roundtrip(quad, tri):
 def test_symbol_json_rejects_truncation_and_unknown_fields(quad, edit, message):
     with pytest.raises(ValueError, match=message):
         Symbol.from_json({**quad.to_json(), **edit})
+
+
+@pytest.mark.parametrize(
+    "coeffs, d1, d2, message",
+    [
+        ((0, 1), True, 0, "d1 must be an integer, got True"),
+        ((0, 1, 1), 2.5, 0, "d1 must be an integer, got 2.5"),
+        ((1, 0, 1), 1, "1", "d2 must be an integer, got '1'"),
+    ],
+)
+def test_symbol_rejects_bad_band_widths(coeffs, d1, d2, message):
+    # The constructor checks what from_json checks, on every path.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Symbol(coeffs, d1, d2)
+
+
+def test_symbol_reads_integral_float_band_widths_as_ints(quad):
+    s = Symbol((0, 1, 1), 2.0, np.int64(0))
+    assert s == quad and type(s.d1) is int and type(s.d2) is int
+    assert np.array_equal(build(s, 4), build(quad, 4))
 
 
 # ---------------------------------------------------------------------------
