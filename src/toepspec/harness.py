@@ -324,32 +324,48 @@ def thread_count() -> int:
 # Metrics
 
 
-# The |x - y| means sum in blocks of this many rows, which bounds each
-# (rows, m) complex temporary at 64 * 16 * m bytes (10 MB for the 10^4-point
-# mu_a sample); only rounding depends on it.
-_PAIR_BLOCK = 64
+# The |x - y| means sum in tiles of at most this many elements: a tile has
+# as many rows as fit against its columns (at least one), and a row longer
+# than the budget is split into budget-wide column chunks.  Each tile's
+# complex difference and its modulus then take at most 24 bytes per element
+# (1.5 MB), whatever the sample sizes; only rounding depends on the budget.
+_PAIR_BUDGET = 1 << 16
+
+
+def _sum_abs_diff(p: np.ndarray, q: np.ndarray) -> float:
+    """Sum of |p_i - q_j| over all pairs, one budget-sized tile at a time."""
+    if q.size == 0:
+        return 0.0
+    width = min(q.size, _PAIR_BUDGET)
+    rows = _PAIR_BUDGET // width
+    total = 0.0
+    for i0 in range(0, p.size, rows):
+        blk = p[i0 : i0 + rows, None]
+        for j0 in range(0, q.size, width):
+            total += float(np.abs(blk - q[None, j0 : j0 + width]).sum())
+    return total
 
 
 def _mean_pairwise_abs(x: np.ndarray) -> float:
     """Mean of |x_i - x_j| over all n^2 ordered pairs.  The terms are
     symmetric, so each block of rows is summed against itself and, doubled,
-    against the points after it: only the upper triangle is built."""
+    against the points after it: only the upper triangle is built.  A block
+    takes as many rows as the budget allows against the n - i0 columns left,
+    so the blocks grow as the triangle narrows."""
     n = x.size
     total = 0.0
-    for i0 in range(0, n, _PAIR_BLOCK):
-        i1 = i0 + _PAIR_BLOCK
-        blk = x[i0:i1, None]
-        total += float(np.abs(blk - x[None, i0:i1]).sum())
-        total += 2.0 * float(np.abs(blk - x[None, i1:]).sum())
+    i0 = 0
+    while i0 < n:
+        i1 = i0 + max(1, _PAIR_BUDGET // (n - i0))
+        blk = x[i0:i1]
+        total += _sum_abs_diff(blk, blk) + 2.0 * _sum_abs_diff(blk, x[i1:])
+        i0 = i1
     return total / (n * n)
 
 
 def _mean_cross_abs(p: np.ndarray, q: np.ndarray) -> float:
     """Mean of |p_i - q_j| over all pairs."""
-    total = 0.0
-    for i0 in range(0, p.size, _PAIR_BLOCK):
-        total += float(np.abs(p[i0 : i0 + _PAIR_BLOCK, None] - q[None, :]).sum())
-    return total / (p.size * q.size)
+    return _sum_abs_diff(p, q) / (p.size * q.size)
 
 
 def energy_distance(p, q) -> float:
@@ -391,7 +407,9 @@ def perturbation(s: Symbol, model: NoiseModel, gamma: float, n: int, seed) -> np
     corner kind."""
     if model.kind == "corner_delta":
         return corner_delta(s, n, model.gamma_star, seed)
-    return float(n) ** (-gamma) * sample(model, n, seed)
+    e = sample(model, n, seed)
+    e *= float(n) ** (-gamma)
+    return e
 
 
 def _esd_inputs(config: ExperimentConfig) -> dict:
@@ -416,7 +434,8 @@ def run_esd(config: ExperimentConfig) -> RunArtifact:
             pert = perturbation(
                 s, config.noise, config.gamma, n, seed_sequence(root, DOMAIN_NOISE, n, t)
             )
-            res = eigenvalues(build(s, n) + pert)
+            pert += build(s, n)
+            res = eigenvalues(pert)
             eig = res.eigenvalues
             dist = None
             if res.converged:

@@ -106,7 +106,8 @@ def sample(model: NoiseModel, n: int, seed) -> np.ndarray:
         return rg.standard_normal((n, n)).astype(complex)
     if model.kind == "gaussian_complex":
         g = rg.standard_normal((n, n)) + 1j * rg.standard_normal((n, n))
-        return g * math.sqrt(0.5)
+        g *= math.sqrt(0.5)
+        return g
     if model.kind == "rademacher":
         return (2.0 * rg.integers(0, 2, size=(n, n)) - 1.0).astype(complex)
     if model.kind == "sparse_bernoulli_gaussian":

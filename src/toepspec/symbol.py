@@ -83,9 +83,14 @@ def _json_float(value, name: str) -> float:
 def _json_complex(value, name: str) -> complex:
     """A complex field's value: a bool or a non-number (text and None
     included) raises ConfigError instead of being read as 1 or parsed, and
-    so does an infinity or NaN, which no canonical JSON echo can hold."""
+    so does an infinity, a NaN or an integer past double range, which no
+    canonical JSON echo can hold."""
     if isinstance(value, numbers.Number) and not isinstance(value, bool):
-        if cmath.isfinite(z := complex(value)):
+        try:
+            z = complex(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is past double range") from None
+        if cmath.isfinite(z):
             return z
         raise ConfigError(f"{name} must be finite, got {value!r}")
     raise ConfigError(f"{name} must be a number, got {value!r}")

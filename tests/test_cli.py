@@ -468,6 +468,11 @@ BAD_INPUTS = {
         '{"kind": "sparse_bernoulli_gaussian", "p": NaN}',
     ],
     "replace-z-nan": lambda p: ["replace", *config_flag(p), "--z", "nan"],
+    # A JSON integer may have more digits than any double can hold.
+    "gamma-past-double-range": lambda p: ["spectrum", *config_flag(p, gamma=10**400)],
+    "symbol-coeff-past-double-range": lambda p: [
+        "spectrum", *config_flag(p, symbol={**QUAD_JSON, "coeffs": [[0, 0], [1, 0], [-(10**400), 0]]})
+    ],
 }
 
 # The error of the cases above that leave a field out or give it the wrong
@@ -494,6 +499,8 @@ ERROR_TEXT = {
     "symbol-coeff-inf": "coeff must be finite, got inf",
     "noise-b-p-nan": "noise p must be finite, got nan",
     "replace-z-nan": "z must be finite, got (nan+0j)",
+    "gamma-past-double-range": "gamma is past double range",
+    "symbol-coeff-past-double-range": "coeff is past double range",
 }
 
 # One good input per run subcommand, small enough to run in a test.

@@ -16,7 +16,7 @@ import pytest
 
 import toepspec
 from toepspec import _svg, expansion, harness, noise, symbol
-from toepspec._rng import DOMAIN_CORNER, DOMAIN_LOGPOT, seed_sequence
+from toepspec._rng import DOMAIN_CORNER, DOMAIN_LOGPOT, DOMAIN_NOISE, seed_sequence
 from conftest import random_complex
 from toepspec import (
     BOUNDARY,
@@ -228,23 +228,57 @@ def mean_abs_full_matrix(x, y):
     return float(np.abs(x[:, None] - y[None, :]).mean())
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
-def test_mean_pairwise_abs_matches_full_matrix(rng, n):
-    # Sizes around the block edge, and 1000 points, where most pairs lie in
-    # off-diagonal blocks of the triangle.
+# Each size is checked at a 64-element budget and at the default.  At 64,
+# 8 points fill one square tile and 9 split it, 7 columns take 9 rows a
+# tile and 10 rows need two; from 63 points a block is one row, and past 64
+# a row is split into column chunks.  At the default, 256 and 257 are the
+# square edge, and 1000 points put most pairs off the triangle's diagonal.
+EDGE_BUDGETS = (64, harness._PAIR_BUDGET)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 63, 64, 65, 256, 257, 1000])
+def test_mean_pairwise_abs_matches_full_matrix(rng, monkeypatch, n):
     x = random_complex(rng, n, 1).ravel()
-    assert harness._mean_pairwise_abs(x) == pytest.approx(
-        mean_abs_full_matrix(x, x), rel=1e-12
-    )
+    full = mean_abs_full_matrix(x, x)
+    for budget in EDGE_BUDGETS:
+        monkeypatch.setattr(harness, "_PAIR_BUDGET", budget)
+        assert harness._mean_pairwise_abs(x) == pytest.approx(full, rel=1e-12)
 
 
-@pytest.mark.parametrize("n, m", [(1, 7), (63, 1000), (65, 130), (1000, 64)])
-def test_mean_cross_abs_matches_full_matrix(rng, n, m):
+@pytest.mark.parametrize(
+    "n, m", [(1, 7), (9, 7), (10, 7), (63, 1000), (65, 130), (1000, 64), (257, 256)]
+)
+def test_mean_cross_abs_matches_full_matrix(rng, monkeypatch, n, m):
     p = random_complex(rng, n, 1).ravel()
     q = random_complex(rng, m, 1).ravel() + 0.5
-    assert harness._mean_cross_abs(p, q) == pytest.approx(
-        mean_abs_full_matrix(p, q), rel=1e-12
+    full = mean_abs_full_matrix(p, q)
+    for budget in EDGE_BUDGETS:
+        monkeypatch.setattr(harness, "_PAIR_BUDGET", budget)
+        assert harness._mean_cross_abs(p, q) == pytest.approx(full, rel=1e-12)
+
+
+def test_energy_distance_temporaries_stay_within_budget(rng, monkeypatch):
+    # Every |x - y| tile goes through np.abs; at samples several times the
+    # budget, none may hold more elements than the budget.
+    budget = 64
+    monkeypatch.setattr(harness, "_PAIR_BUDGET", budget)
+    sizes = []
+    np_abs = np.abs
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return np_abs(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", spy)
+    p = random_complex(rng, 5 * budget, 1).ravel()
+    q = random_complex(rng, 3 * budget + 5, 1).ravel()
+    d = energy_distance(p, q)
+    monkeypatch.undo()
+    assert d == pytest.approx(
+        2.0 * mean_abs_full_matrix(p, q) - mean_abs_full_matrix(p, p) - mean_abs_full_matrix(q, q),
+        rel=1e-12,
     )
+    assert sizes and max(sizes) <= budget
 
 
 def ks_brute(x, y):
@@ -267,11 +301,11 @@ def test_ks_distance_frozen_and_brute(rng):
 
 
 def test_perturbation_scaling(quad):
-    model = NoiseModel("gaussian_complex")
-    seed = 99
-    pert = perturbation(quad, model, 0.75, 16, seed)
-    raw = sample(model, 16, seed)
-    assert np.allclose(pert, 16.0 ** (-0.75) * raw)
+    # Scaling the draw in place gives the bytes of N^{-gamma} * sample.
+    for kind in (k for k in noise.KINDS if k != "corner_delta"):
+        model = NoiseModel(kind, p=0.3 if kind == "sparse_bernoulli_gaussian" else None)
+        pert = perturbation(quad, model, 0.75, 16, 99)
+        assert np.array_equal(pert, float(16) ** (-0.75) * sample(model, 16, 99)), kind
 
 
 def test_perturbation_corner_dispatch(quad):
@@ -341,15 +375,30 @@ print(peak_mb() - base)
 """
 
 
+def test_run_esd_eigenvalues_are_those_of_build_plus_perturbation(quad):
+    # Each cell is assembled in place in its perturbation; the eigenvalues
+    # are the bytes of eigvals(build + pert).
+    cfg = tiny_config(quad)
+    art = run_esd(cfg)
+    root = seed_sequence(cfg.seed)
+    for rec in art.records:
+        n = rec["n"]
+        pert = perturbation(quad, cfg.noise, cfg.gamma, n, seed_sequence(root, DOMAIN_NOISE, n, rec["trial"]))
+        want = np.linalg.eigvals(harness.build(quad, n) + pert)
+        assert rec["eigenvalues"] == [[v.real, v.imag] for v in want]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_run_esd_peak_memory():
-    # Measured 25 MB in the calling thread; a two-thread pool took 56 MB.
+    # Measured 14.1-14.3 MB, and the same at 4 x 10^4 mu_a samples; the
+    # bound sits below the 26 MB that energy-distance blocks of 64 rows
+    # against the whole sample took.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", _ESD_RSS_SCRIPT], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert float(out.stdout) <= 40.0
+    assert float(out.stdout) <= 20.0
 
 
 def test_run_esd_reports_nonconvergence(quad, monkeypatch, tmp_path):
