@@ -1,16 +1,16 @@
-"""Complex linear-algebra kernels.
+"""Linear-algebra kernels.
 
-The package-wide matrix substrate is a C-contiguous ``numpy.complex128``
-array (row-major, ``shape == (rows, cols)``).  Every factorization but one
-is one ``numpy.linalg`` (LAPACK) call: ``slogdet`` for log-determinants,
-``eigvals`` for general complex spectra, ``svd`` for singular values, and
-``qr`` for Haar unitaries.  The exception is ``band_logdet``, a
-partial-pivoted band LU written here in numpy, because numpy has no band
-solver and numpy stays the package's only dependency.  This module fixes
-the package's contracts around those calls: input coercion, the ``LogDet``
-form with its singular sentinel, and how non-convergence is reported.
-Results are bit-identical across reruns for a fixed numpy/BLAS build and
-BLAS thread setting.
+A matrix is a C-contiguous 2-d array, float64 or complex128 as its entries
+need, so LAPACK runs its real routines on real data.  Every factorization
+but one is one ``numpy.linalg`` (LAPACK) call: ``slogdet`` for
+log-determinants, ``eigvals`` for spectra (always returned complex),
+``svd`` for singular values, and ``qr`` for Haar unitaries.  The exception
+is ``band_logdet``, a complex128 partial-pivoted band LU written here in
+numpy, because numpy has no band solver and numpy stays the package's only
+dependency.  This module fixes the package's contracts around those calls:
+input coercion, the ``LogDet`` form with its singular sentinel, and how
+non-convergence is reported.  Results are bit-identical across reruns for
+a fixed numpy/BLAS build and BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to the package substrate: C-contiguous complex128, 2-d, finite."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
+    """A C-contiguous, 2-d, finite float64 matrix, or complex128 for complex input."""
+    a = np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {a.shape}")
     if a.size and not np.isfinite(a).all():
@@ -87,7 +87,7 @@ class LogDet:
 
 
 def lu_logdet(m) -> LogDet:
-    """log|det| and phase of a square complex matrix via partial-pivoted LU."""
+    """log|det| and phase of a square matrix via partial-pivoted LU."""
     a = as_matrix(m)
     _require_square(a)
     sign, log_abs = np.linalg.slogdet(a)
@@ -168,7 +168,7 @@ def band_logdet(ab, kl: int, ku: int) -> list[LogDet]:
 
 
 # ---------------------------------------------------------------------------
-# General complex spectra
+# General spectra
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class SpectrumResult:
 
 
 def eigenvalues(m) -> SpectrumResult:
-    """All eigenvalues of a square complex matrix (unordered).
+    """All eigenvalues of a square matrix (unordered), always as complex128.
 
     ``converged`` is False when the QR iteration fails; the input's diagonal
     is then reported in place of the spectrum, so the values stay finite.
@@ -186,9 +186,9 @@ def eigenvalues(m) -> SpectrumResult:
     a = as_matrix(m)
     _require_square(a)
     try:
-        return SpectrumResult(np.linalg.eigvals(a), True)
+        return SpectrumResult(np.linalg.eigvals(a).astype(np.complex128, copy=False), True)
     except np.linalg.LinAlgError:
-        return SpectrumResult(a.diagonal().copy(), False)
+        return SpectrumResult(a.diagonal().astype(np.complex128), False)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def eigenvalues(m) -> SpectrumResult:
 
 
 def singular_values(m) -> np.ndarray:
-    """All singular values of a square complex matrix, descending."""
+    """All singular values of a square matrix, descending."""
     a = as_matrix(m)
     _require_square(a)
     try:
@@ -210,16 +210,17 @@ def smin(m) -> float:
     return float(singular_values(m)[-1])
 
 
-def stieltjes_from_singvals(svals: np.ndarray, xi: complex) -> complex:
-    """Stieltjes transform of the symmetrized singular-value distribution."""
-    xi = complex(xi)
-    if xi.imag == 0.0:
+def stieltjes_from_singvals(svals: np.ndarray, xi) -> complex | np.ndarray:
+    """Stieltjes transform of the symmetrized singular-value law at each ``xi`` (a complex)."""
+    xi = np.asarray(xi, dtype=complex)
+    if (xi.imag == 0.0).any():
         raise ValueError("xi must have nonzero imaginary part")
     s = np.asarray(svals, dtype=float)
     n = s.size
     if n == 0:
         raise ValueError("empty singular-value list")
-    return complex((1.0 / (xi - s) + 1.0 / (xi + s)).sum() / (2.0 * n))
+    g = (1.0 / (xi[..., None] - s) + 1.0 / (xi[..., None] + s)).sum(axis=-1) / (2.0 * n)
+    return complex(g) if g.ndim == 0 else g
 
 
 # ---------------------------------------------------------------------------

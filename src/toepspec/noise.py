@@ -92,7 +92,8 @@ class NoiseModel:
 
 
 def sample(model: NoiseModel, n: int, seed) -> np.ndarray:
-    """One unscaled N x N draw from the ensemble (unit entry variance).
+    """One unscaled N x N draw from the ensemble (unit entry variance):
+    float64 for the real kinds, complex128 for the complex ones.
 
     The corner kind needs symbol geometry and has its own constructor;
     requesting it here is an error.
@@ -103,17 +104,19 @@ def sample(model: NoiseModel, n: int, seed) -> np.ndarray:
         raise ValueError("corner_delta is built by corner_delta(), not sample()")
     rg = generator(seed)
     if model.kind == "gaussian_real":
-        return rg.standard_normal((n, n)).astype(complex)
+        return rg.standard_normal((n, n))
     if model.kind == "gaussian_complex":
-        g = rg.standard_normal((n, n)) + 1j * rg.standard_normal((n, n))
+        g = np.empty((n, n), dtype=complex)
+        g.real = rg.standard_normal((n, n))
+        g.imag = rg.standard_normal((n, n))
         g *= math.sqrt(0.5)
         return g
     if model.kind == "rademacher":
-        return (2.0 * rg.integers(0, 2, size=(n, n)) - 1.0).astype(complex)
+        return 2.0 * rg.integers(0, 2, size=(n, n)) - 1.0
     if model.kind == "sparse_bernoulli_gaussian":
         mask = rg.random((n, n)) < model.p
         g = rg.standard_normal((n, n))
-        return (mask * g / math.sqrt(model.p)).astype(complex)
+        return mask * g / math.sqrt(model.p)
     if model.kind == "haar_scaled":
         return math.sqrt(n) * haar_unitary(n, rg)
     raise AssertionError(f"unhandled kind {model.kind}")  # pragma: no cover
@@ -171,9 +174,9 @@ def corner_entries(
 
 
 def corner_delta(s: Symbol, n: int, gamma_star: float, seed) -> np.ndarray:
-    """The dense N x N matrix of ``corner_entries``: zero off the corner support."""
+    """The dense N x N float64 matrix of ``corner_entries``: zero off the support."""
     rows, cols, vals = corner_entries(s, n, gamma_star, seed)
-    delta = np.zeros((n, n), dtype=complex)
+    delta = np.zeros((n, n))
     delta[rows, cols] = vals
     return delta
 

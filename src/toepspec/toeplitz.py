@@ -46,20 +46,20 @@ def _fill_diagonal(t: np.ndarray, offset: int, value: complex) -> None:
 
 
 def build(s: Symbol, n: int) -> np.ndarray:
-    """T_N with entries (T)_{i,j} = a_{j-i}."""
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    t = np.zeros((n, n), dtype=complex)
-    for k in range(-s.d2, s.d1 + 1):
-        _fill_diagonal(t, k, s.coeff(k))
-    return t
+    """T_N with entries (T)_{i,j} = a_{j-i}: ``build_z`` at z = 0."""
+    return build_z(s, 0.0, n)
 
 
 def build_z(s: Symbol, z: complex, n: int) -> np.ndarray:
-    """T_N(z) = T_N - z Id."""
-    t = build(s, n)
-    idx = np.arange(n)
-    t[idx, idx] -= z
+    """T_N(z) = T_N - z Id, whose diagonals a_{-d2}, ..., a_0 - z, ..., a_{d1} are
+    ``char_poly_coeffs(s, z)``: float64 when all are real, else complex128."""
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
+    c = char_poly_coeffs(s, z)
+    c = c if c.imag.any() else c.real
+    t = np.zeros((n, n), dtype=c.dtype)
+    for k, value in enumerate(c, start=-s.d2):
+        _fill_diagonal(t, k, value)
     return t
 
 

@@ -752,6 +752,77 @@ def test_run_replacement_scales_by_config_gamma(quad):
     assert ratio == pytest.approx(16.0 ** (0.75 - 2.0), rel=1e-9)
 
 
+# A matrix is real exactly when the symbol, z and the noise are.  The
+# all-complex route widens every builder and draw the runners call to
+# complex128, so LAPACK takes its complex routines throughout.
+DTYPE_SYMBOLS = {
+    "real": Symbol((0.0, 1.0, 1.0), 2, 0),
+    "complex": Symbol((0.2j, 1.0, 1.0 - 0.3j), 2, 0),
+}
+DTYPE_ZS = {"real": 3.0 + 0j, "complex": 3.0 + 0.5j}
+
+
+def all_complex(monkeypatch):
+    for name in ("build", "build_z", "perturbation"):
+        real_route = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, f=real_route: f(*args).astype(np.complex128)
+        )
+
+
+def assert_close_records(got, want, keys):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for key in keys:
+            assert g[key] == pytest.approx(w[key], rel=1e-10, abs=0.0), (key, g, w)
+
+
+@pytest.mark.parametrize("sym", sorted(DTYPE_SYMBOLS))
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian_complex"])
+def test_run_esd_real_and_complex_routes_agree(sym, kind, monkeypatch):
+    cfg = tiny_config(DTYPE_SYMBOLS[sym], sizes=(8, 16), noise=NoiseModel(kind))
+    got = run_esd(cfg)
+    if sym == "real" and kind == "rademacher":
+        # A real matrix's spectrum is closed under conjugation exactly.
+        for rec in got.records:
+            eig = np.array([complex(re, im) for re, im in rec["eigenvalues"]])
+            assert np.array_equal(np.sort(eig), np.sort(eig.conj()))
+    all_complex(monkeypatch)
+    want = run_esd(cfg)
+    assert_close_records(got.records, want.records, ["energy_distance"])
+    assert_close_records(got.summary, want.summary, ["median_energy_distance"])
+
+
+@pytest.mark.parametrize("sym", sorted(DTYPE_SYMBOLS))
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian_complex"])
+@pytest.mark.parametrize("zkind", sorted(DTYPE_ZS))
+def test_run_logpot_real_and_complex_routes_agree(sym, kind, zkind, monkeypatch):
+    cfg = tiny_config(
+        DTYPE_SYMBOLS[sym], sizes=(8, 16), noise=NoiseModel(kind),
+        z_grid=ZGrid(points=(DTYPE_ZS[zkind],)),
+    )
+    got = run_logpot(cfg)
+    all_complex(monkeypatch)
+    want = run_logpot(cfg)
+    assert_close_records(got.records, want.records, ["log_pot"])
+
+
+@pytest.mark.parametrize("sym", sorted(DTYPE_SYMBOLS))
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian_complex"])
+@pytest.mark.parametrize("zkind", sorted(DTYPE_ZS))
+def test_run_replacement_real_and_complex_routes_agree(sym, kind, zkind, monkeypatch):
+    # The second ensemble is the other kind, so each run pairs a real draw
+    # with a complex one.
+    other = NoiseModel("gaussian_complex" if kind == "rademacher" else "rademacher")
+    cfg = tiny_config(DTYPE_SYMBOLS[sym], noise=NoiseModel(kind), trials=3)
+    got = run_replacement(cfg, DTYPE_ZS[zkind], 24, other)
+    all_complex(monkeypatch)
+    want = run_replacement(cfg, DTYPE_ZS[zkind], 24, other)
+    keys = ["hs_diff", "max_stieltjes_diff", "max_bound_ratio", "smin_a", "smin_b"]
+    assert_close_records(got.records, want.records, keys)
+    assert_close_records(got.summary, want.summary, ["ks_distance"])
+
+
 def test_run_expansion_records_and_inputs(quad):
     art = run_expansion(quad, 3.0, [6, 8], 2, 3.0, 5)
     assert [(r["n"], r["draw"]) for r in art.records] == [(6, 0), (6, 1), (8, 0), (8, 1)]

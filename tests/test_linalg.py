@@ -157,6 +157,21 @@ def test_lu_logdet_rejects_nonsquare(rng):
         lu_logdet(random_complex(rng, 3, 4))
 
 
+def test_as_matrix_keeps_real_input_real():
+    for m, dtype in (
+        ([[1, 2], [3, 4]], np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2, dtype=bool), np.float64),
+        ([[1.0, 2j], [0, 1]], np.complex128),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        (np.zeros((2, 2), dtype=complex), np.complex128),
+    ):
+        a = as_matrix(m)
+        assert a.dtype == dtype and a.flags.c_contiguous
+    a = np.asfortranarray(np.ones((3, 2)))
+    assert np.array_equal(as_matrix(a), a) and as_matrix(a).flags.c_contiguous
+
+
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix(np.array([1.0, 2.0]))  # 1-D
@@ -233,6 +248,17 @@ def test_eigenvalues_nonconvergence_reports_diagonal(rng, monkeypatch):
     assert np.array_equal(res.eigenvalues, np.diag(m))
 
 
+def test_eigenvalues_of_a_real_matrix_are_complex_conjugate_pairs(rng):
+    # A real input stays real through LAPACK (dgeev), whose spectrum is
+    # closed under conjugation exactly; the result is complex128 even when
+    # every eigenvalue is real.
+    m = rng.standard_normal((40, 40))
+    got = eigenvalues(m).eigenvalues
+    assert got.dtype == np.complex128
+    assert np.array_equal(np.sort(got), np.sort(got.conj()))
+    assert eigenvalues(np.diag([1.0, 2.0])).eigenvalues.dtype == np.complex128
+
+
 def test_eigenvalues_empty_and_scalar():
     res = eigenvalues(np.array([[3.0 - 2j]]))
     assert res.eigenvalues[0] == pytest.approx(3.0 - 2j)
@@ -282,6 +308,18 @@ def test_stieltjes_matches_direct_sum(rng):
     xi = 0.7 + 0.9j
     want = np.mean(0.5 / (xi - sv) + 0.5 / (xi + sv))
     assert stieltjes_from_singvals(sv, xi) == pytest.approx(want, rel=1e-12)
+
+
+def test_stieltjes_broadcasts_over_an_array_of_points(rng):
+    # Each point of an array gives the bits of its own scalar call.
+    sv = np.linalg.svd(random_complex(rng, 9), compute_uv=False)
+    xi = np.linspace(0.0, sv[0], 21) + 1j * np.array([[0.5], [1.0], [2.0]])
+    got = stieltjes_from_singvals(sv, xi)
+    assert got.shape == (3, 21)
+    assert all(g == stieltjes_from_singvals(sv, x) for g, x in zip(got.flat, xi.flat))
+    assert type(stieltjes_from_singvals(sv, 1j)) is complex
+    with pytest.raises(ValueError):
+        stieltjes_from_singvals(sv, np.array([1j, 2.0]))
 
 
 def test_stieltjes_requires_offaxis_point(rng):

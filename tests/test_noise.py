@@ -94,7 +94,7 @@ def test_seed_sequence_appends_the_key_to_the_root(root):
 
 def test_gaussian_real_unit_variance():
     e = sample(NoiseModel("gaussian_real"), 200, seed=3)
-    assert e.shape == (200, 200) and e.dtype == np.complex128
+    assert e.shape == (200, 200) and e.dtype == np.float64
     assert np.abs(e.imag).max() == 0.0
     assert np.var(e.real) == pytest.approx(1.0, abs=0.03)
     assert np.mean(e.real) == pytest.approx(0.0, abs=0.02)
@@ -169,6 +169,24 @@ def test_corner_delta_entries(quad):
     assert np.all(vals.real >= 0.5 * scale) and np.all(vals.real <= scale)
 
 
+def test_gaussian_complex_draw_is_pinned():
+    # The real parts are the stream's first N^2 normals and the imaginary
+    # parts its next N^2, both scaled by sqrt(1/2).
+    for n, seed in ((1, 0), (7, 3), (100, 12345)):
+        rg = generator(seed)
+        x = rg.standard_normal((n, n))
+        y = rg.standard_normal((n, n))
+        got = sample(NoiseModel("gaussian_complex"), n, seed)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.sqrt(0.5) * (x + 1j * y))
+
+
+@pytest.mark.parametrize("kind", ["gaussian_real", "rademacher", "sparse_bernoulli_gaussian"])
+def test_real_kinds_draw_float64(kind):
+    model = NoiseModel(kind, p=0.3 if kind == "sparse_bernoulli_gaussian" else None)
+    assert sample(model, 5, 1).dtype == np.float64
+
+
 @pytest.mark.parametrize("coeffs, d1, d2", [((0, 1, 1), 2, 0), ((1, 0.5j, 2, 0.3), 1, 2)])
 @pytest.mark.parametrize("transpose", [False, True])
 def test_corner_delta_is_the_per_entry_scatter_of_its_stream(coeffs, d1, d2, transpose):
@@ -182,7 +200,7 @@ def test_corner_delta_is_the_per_entry_scatter_of_its_stream(coeffs, d1, d2, tra
         if transpose:
             assert support == sorted((j, i) for i, j in corner_support(n, d1, d2))
         vals = float(n) ** -4.5 * generator(seed).uniform(0.5, 1.0, size=len(support))
-        want = np.zeros((n, n), dtype=complex)
+        want = np.zeros((n, n))
         for (i, j), v in zip(support, vals):
             want[i, j] = v
         got = corner_delta(s, n, 4.5, seed)

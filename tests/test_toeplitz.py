@@ -23,7 +23,9 @@ from toepspec import (
     lu_logdet,
     moment_lhs,
     moment_rhs,
+    ks_distance,
     root_profile,
+    singular_values,
     trace_word,
     widom_sum,
 )
@@ -64,8 +66,24 @@ def test_build_explicit_tri(tri):
 
 def test_build_dtype_and_small_sizes(quad):
     m = build(quad, 1)
-    assert m.shape == (1, 1) and m.dtype == np.complex128
+    assert m.shape == (1, 1) and m.dtype == np.float64
     assert m[0, 0] == 0.0
+    m = build(Symbol((0.5j, 1.0, 1.0), 2, 0), 1)
+    assert m.shape == (1, 1) and m.dtype == np.complex128
+    assert m[0, 0] == 0.5j
+
+
+def test_build_z_is_real_exactly_when_its_diagonals_are(quad):
+    # The dtype follows a_{-d2}, ..., a_0 - z, ..., a_{d1}: a complex z or
+    # coefficient makes T_N(z) complex, unless a_0 - z cancels it.
+    assert build_z(quad, 1.0, 4).dtype == np.float64
+    assert build_z(quad, 1.0 + 0.5j, 4).dtype == np.complex128
+    assert build_z(Symbol((0.5j, 1.0, 1.0), 2, 0), 1.0, 4).dtype == np.complex128
+    m = build_z(Symbol((1.0 + 0.5j, 1.0, 1.0), 2, 0), 0.5j, 4)
+    assert m.dtype == np.float64 and np.array_equal(np.diag(m), np.ones(4))
+    for z in (1.0, 1.0 + 0.5j):
+        want = build(quad, 4).astype(complex) - z * np.eye(4)
+        assert np.array_equal(build_z(quad, z, 4), want)
 
 
 def test_build_z_shifts_diagonal(quad, tri):
@@ -356,6 +374,43 @@ def test_band_logdet_matches_lu_logdet_over_random_symbols(d1, d2, seed, n, tran
         assert not got.singular, (z, n)
         assert abs(got.log_abs - want.log_abs) <= tol, (z, n)
         assert abs(got.phase - want.phase) <= tol, (z, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d1=st.integers(0, 3),
+    d2=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 120),
+    real_symbol=st.booleans(),
+    real_z=st.booleans(),
+)
+def test_build_z_singular_values_interlace_with_the_circulant(
+    d1, d2, seed, n, real_symbol, real_z
+):
+    # Independent oracle (Boettcher-Grudsky): T_N(z) differs from the
+    # circulant C_N(z) of the same symbol by its wrapped corners, a matrix of
+    # rank <= d = d1 + d2, and C_N(z) is normal with eigenvalues a(w_j) - z
+    # over the N-th roots of unity w_j.  So the descending singular values
+    # interlace with shift d, and their KS distance is at most d / N.  Both
+    # dtypes of build_z are covered: real only for a real symbol and real z.
+    assume(1 <= d1 + d2)
+    g = np.random.default_rng(seed)
+    coeffs = g.standard_normal(d1 + d2 + 1)
+    if not real_symbol:
+        coeffs = coeffs + 1j * g.standard_normal(d1 + d2 + 1)
+    s = Symbol(tuple(coeffs), d1, d2)
+    z = complex(g.uniform(-2.0, 2.0), 0.0 if real_z else g.uniform(-2.0, 2.0))
+    t = build_z(s, z, n)
+    assert t.dtype == (np.float64 if real_symbol and real_z else np.complex128)
+    sig_t = singular_values(t)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    sig_c = np.sort(np.abs(s.eval_many(w) - z))[::-1]
+    d = d1 + d2
+    tol = 1e-10 * sig_c[0]
+    assert np.all(sig_c[d:] <= sig_t[: n - d] + tol)
+    assert np.all(sig_t[d:] <= sig_c[: n - d] + tol)
+    assert round(n * ks_distance(sig_t, sig_c)) <= d
 
 
 @settings(max_examples=60, deadline=None)
